@@ -54,12 +54,7 @@ from .errors import (
     InternalConsistency,
     NotPowerAssociative,
 )
-from .monomial import (
-    canonical_root_pool,
-    monomial_solutions,
-    monomial_witness,
-    pattern_cells,
-)
+from .monomial import monomial_solutions, monomial_witness, pattern_cells
 
 
 def verify_isomorphism(A, B, M):
@@ -463,23 +458,17 @@ def _canonical_orbit_rep(field, fam, params):
     Returns (values, sigma, lam): the canonical parameters and a monomial
     map such that rescaling basis vectors by lam after permuting by sigma
     carries any realization of the input member onto the canonical one.
-    Results are cached; the search is exhaustive over prime fields and
-    bounded-height over Q.
+    Results are cached; the scalings are solved exactly over both fields.
     """
     cache_key = (field.describe(), fam.dim, fam.index, params)
     hit = _canon_cache.get(cache_key)
     if hit is not None:
         return hit
-    cells = pattern_cells(fam, field)
-    exact = field.kind == "rationals"
-    # over Q, stuck scalings act on slots by squares only, which the exact
-    # square-class reduction absorbs; over F_p the pool is exhaustive
-    pool = [field.one] if exact else canonical_root_pool(field)
     C = instantiate(fam, field, params)
     best = None
     for sigma, lam, values in monomial_solutions(
-            field, C.rows, cells, root_pool=pool, slot_names=fam.param_names,
-            det_constraints=fam.det_constraints, q_exact_slots=exact):
+            field, C.rows, pattern_cells(fam, field), slot_names=fam.param_names,
+            det_constraints=fam.det_constraints):
         key = tuple(field.canon_key(v) for v in values)
         if best is None or key < best[0]:
             best = (key, values, sigma, lam)
@@ -652,7 +641,8 @@ def params_equivalent(dim, index, p1, p2, field):
     Both instances are classified; since classification canonicalizes
     parameters over all normalization arrangements and monomial changes,
     equal canonical parameters decide equivalence.  Over a prime field the
-    verdict is exact; over Q a negative is only search-bounded.
+    verdict is exact; over Q a negative is not a proof, since the rational
+    reduction ignores sign changes of the free scalings.
     """
     fam = family(dim, index)
     C1 = instantiate(fam, field, p1)

@@ -173,6 +173,15 @@ def test_monomial_isomorphism(Q, F7):
     N22 = canonical_algebra(make_label(2, 2, ()), Q)
     N21 = canonical_algebra(make_label(2, 1, ()), Q)
     assert monomial_isomorphism(N22, N21) is None
+    # scalings of larger height than any bounded search tries
+    A = canonical_algebra(make_label(5, 12, (1, 2)), Q)
+    lam = [Fraction(7, 19), Fraction(-11, 23), Fraction(13, 29), Fraction(17, 19),
+           Fraction(-7, 23)]
+    B = new_evolution_algebra(Q, [[lam[i] ** 2 * A.rows[4 - i][4 - j] / lam[j]
+                                   for j in range(5)] for i in range(5)])
+    M = monomial_isomorphism(A, B)
+    assert M is not None
+    assert verify_isomorphism(A, B, M).verdict
 
 
 def test_classifier_deterministic_across_disguises(Q, F7):

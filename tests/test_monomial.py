@@ -1,0 +1,142 @@
+"""The exact scaling solver: canonical parameters, roots, factoring, cost in p."""
+
+import itertools
+import random
+from fractions import Fraction
+from math import prod
+from pathlib import Path
+
+import pytest
+
+import evolalg as ev
+from evolalg.classify import _canonical_orbit_rep
+from evolalg.monomial import (
+    _factor,
+    _power_class_rep,
+    _reduce_slots,
+    _roots,
+    monomial_solutions,
+    pattern_cells,
+)
+
+from conftest import first_catalog_instance, monomial_disguise
+
+GOLDEN_FP = Path(__file__).resolve().parent / "golden" / "canon_fp.txt"
+
+
+def canon_fp_lines():
+    """Canonical parameters of 8 seeded tuples of every parametrized family
+    of dims 3-6 over F_7 and F_13: the monomial-orbit representative of the
+    drawn tuple and the parameters classify reports for its instance."""
+    lines = []
+    for p in (7, 13):
+        field = ev.make_field("Fp", p)
+        for dim in range(3, 7):
+            for fam in ev.families_of_dim(dim):
+                if not fam.nparams:
+                    continue
+                rng = random.Random(f"canon_fp:{p}:{fam.dim}:{fam.index}")
+                drawn = 0
+                while drawn < 8:
+                    params = tuple(rng.randrange(1, p) for _ in range(fam.nparams))
+                    try:
+                        A = ev.catalog.instantiate(fam, field, params)
+                    except ev.ParamConstraintViolated:
+                        continue
+                    drawn += 1
+                    orbit = _canonical_orbit_rep(field, fam, params)[0]
+                    label = ev.classify(A).label
+                    lines.append(f"{field.describe()} {fam.name()} "
+                                 f"{','.join(map(str, params))} "
+                                 f"orbit {','.join(map(str, orbit))} "
+                                 f"classify {','.join(map(str, label.params))}")
+    return lines
+
+
+def test_canonical_params_fp_match_golden():
+    # the golden file was written by canon_fp_lines() with the former
+    # exhaustive root-pool search over F_p*; a differing line is a change
+    # of canonical parameters to explain, not a file to regenerate
+    want = GOLDEN_FP.read_text(encoding="utf-8").splitlines()
+    got = canon_fp_lines()
+    assert len(got) == len(want)
+    diff = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not diff, diff[:5]
+
+
+def _fp(p):
+    return ev.make_field("Fp", p)
+
+
+def test_fp_roots_are_all_roots():
+    for p in (7, 13, 17, 41, 97, 101):
+        for d in range(1, 9):
+            for a in range(1, p):
+                want = [x for x in range(1, p) if pow(x, d, p) == a]
+                assert _roots(_fp(p), a, d) == want, (p, d, a)
+    # p - 1 = 2^8: square roots by Tonelli-Shanks down a deep Sylow subgroup
+    for d in (2, 4, 16):
+        for a in (1, 3, 16, 81, 255):
+            want = [x for x in range(1, 257) if pow(x, d, 257) == a]
+            assert _roots(_fp(257), a, d) == want, (d, a)
+
+
+def test_fp_slot_reduction_is_the_orbit_minimum():
+    # slot k is c_k * prod s^row_k; the reduction must reach the
+    # lexicographic minimum over every choice of the free symbols,
+    # including torsion moves such as s -> -s (rows [2], [1])
+    rng = random.Random(11)
+    cases = [(13, [3, 5], [[2], [1]]), (7, [2, 3], [[2], [1]])]
+    for _ in range(40):
+        p = rng.choice((7, 11, 13))
+        m = rng.randint(1, 2)
+        k = rng.randint(1, 3)
+        cases.append((p, [rng.randrange(1, p) for _ in range(k)],
+                      [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]))
+    for p, consts, rows in cases:
+        field = _fp(p)
+        m = len(rows[0])
+
+        def slots(symval):
+            return tuple(c * prod(pow(v, e, p) for v, e in zip(symval, row)) % p
+                         for c, row in zip(consts, rows))
+
+        best = min(slots(s) for s in itertools.product(range(1, p), repeat=m))
+        assert slots(_reduce_slots(field, consts, rows, m)) == best, (p, consts, rows)
+
+
+def test_solution_count_does_not_grow_with_p():
+    counts = {}
+    for p in (7, 101):
+        field = _fp(p)
+        for key in ((6, 16), (6, 18), (6, 23)):
+            fam = ev.family(*key)
+            C, _ = first_catalog_instance(field, fam)
+            counts[p, key] = sum(1 for _ in monomial_solutions(
+                field, C.rows, pattern_cells(fam, field), slot_names=fam.param_names,
+                det_constraints=fam.det_constraints))
+    for key in ((6, 16), (6, 18), (6, 23)):
+        assert counts[101, key] <= 4 * counts[7, key], (key, counts)
+    # one F_101 member in three disguises: one set of canonical parameters
+    F101 = _fp(101)
+    A = ev.canonical_algebra(ev.make_label(6, 18, (3, 50, 7, 99)), F101)
+    rng = random.Random(101)
+    labels = {ev.classify(monomial_disguise(F101, A, rng)).label for _ in range(3)}
+    assert len(labels) == 1
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # a 30-digit semiprime whose smaller factor has 10 digits: trial
+    # division to that factor takes minutes, Pollard-Brent rho milliseconds
+    n = sympy.nextprime(2 * 10 ** 9) * sympy.nextprime(10 ** 20)
+    assert len(str(n)) == 30
+    assert _factor(n) == sympy.factorint(n)
+    rng = random.Random(5)
+    for m in [2 * (10 ** 14 + 31), 3 ** 40, 1] + [rng.randrange(1, 10 ** 18)
+                                                for _ in range(30)]:
+        assert _factor(m) == sympy.factorint(m), m
+    # the square class of 2*P (P prime) is represented by 2/P
+    big = 10 ** 14 + 31
+    assert _power_class_rep(ev.make_field("Q"), Fraction(2 * big), 2) == \
+        (Fraction(2, big), Fraction(1, big))
