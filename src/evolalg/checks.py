@@ -1,10 +1,16 @@
 """Identity classes of an evolution algebra, with self-validating witnesses.
 
-All checks reduce to basis-vector conditions.  With rows r_i = e_i^2 the
-building blocks are cheap: e_i^2 e_j = a_ij r_j, (e_i^2 e_j) e_k =
-a_ij r_j[k] r_k, e_i^3 = a_ii r_i, and only e_i^2 e_j^2 needs a full
-bilinear product.  Witnesses carry the violated condition, its indices and
-both evaluated sides, so a report can be re-checked against the algebra.
+All checks reduce to basis-vector conditions on the rows r_i = e_i^2.
+Every term is a scalar times a row: e_i^2 e_j = a_ij r_j, (e_i^2 e_j) e_k =
+a_ij a_jk r_k, e_i^3 = a_ii r_i, and the one bilinear product e_i^2 e_j^2 =
+sum of a_il a_jl r_l over l in both supp(r_i) and supp(r_j).  A term
+vanishes exactly when its scalar or its row does, so the fourth-power and
+nil fourth-power checks compute the row supports once and build a vector
+only for a condition whose terms are not all zero.  They still scan the
+conditions in their classical order, so the first violation is the one a
+dense scan reports.  The Jordan check builds every term as a full vector.
+Witnesses carry the violated condition, its indices and both evaluated
+sides, so a report can be re-checked against the algebra.
 """
 
 from dataclasses import dataclass
@@ -16,6 +22,8 @@ from .core import (
     multiply,
     power_subspace,
     rref,
+    vec_add,
+    vec_scale,
 )
 from .errors import NotNil
 
@@ -40,16 +48,37 @@ class CheckReport:
 _OK = CheckReport(True)
 
 
-def _scaled(field, c, row):
-    mul, is_zero = field.mul, field.is_zero
-    if is_zero(c):
-        return (field.zero,) * len(row)
-    return tuple(mul(c, v) for v in row)
+def _row_supports(A):
+    """supp(r_i) for every row, as ascending index lists."""
+    is_zero = A.field.is_zero
+    return [[k for k, v in enumerate(row) if not is_zero(v)] for row in A.rows]
 
 
-def _add(field, x, y):
-    add = field.add
-    return tuple(add(a, b) for a, b in zip(x, y))
+def _meets(supp, i, j):
+    """True when e_i^2 e_j^2 has a nonzero term a_il a_jl r_l.
+
+    Its l = j and l = i terms are a_ij a_jj r_j and a_ji a_ii r_i, so when
+    it has none, no condition on the pair (i, j) can fail; for i == j the
+    l = i term is e_i^4 = a_ii^2 r_i.
+    """
+    sj = supp[j]
+    return any(supp[l] for l in supp[i] if l in sj)
+
+
+def _square_product(A, supp, i, j):
+    """e_i^2 e_j^2 = sum of a_il a_jl r_l over l in both supp(r_i) and supp(r_j)."""
+    field = A.field
+    mul, add = field.mul, field.add
+    rows = A.rows
+    ri, rj, sj = rows[i], rows[j], supp[j]
+    z = [field.zero] * A.n
+    for l in supp[i]:
+        if l in sj:
+            c = mul(ri[l], rj[l])
+            rl = rows[l]
+            for k in supp[l]:
+                z[k] = add(z[k], mul(c, rl[k]))
+    return tuple(z)
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +88,8 @@ def _add(field, x, y):
 def annihilator(A):
     """ann(E) = span of the natural basis vectors with zero square."""
     field = A.field
-    idx = tuple(i for i in range(A.n) if is_zero_vector(field, A.rows[i]))
-    basis = tuple(A.unit(i) for i in idx)
+    idx = tuple([i for i in range(A.n) if is_zero_vector(field, A.rows[i])])
+    basis = tuple([A.unit(i) for i in idx])
     return Subspace(field, A.n, basis), idx
 
 
@@ -70,13 +99,11 @@ def _chain_index_sets(A):
     e^2 lies in the span of basis vectors indexed by S exactly when its
     support is inside S, so the chain is pure support combinatorics.
     """
-    field = A.field
-    supports = [frozenset(k for k, v in enumerate(row) if not field.is_zero(v))
-                for row in A.rows]
+    supports = _row_supports(A)
     sets = []
     cur = frozenset()
     while True:
-        nxt = frozenset(j for j in range(A.n) if supports[j] <= cur)
+        nxt = frozenset(j for j in range(A.n) if cur.issuperset(supports[j]))
         if nxt == cur:
             break
         sets.append(nxt)
@@ -100,7 +127,7 @@ def annihilator_chain(A):
     seq = []
     prev = frozenset()
     for s in sets:
-        chain.append(Subspace(field, A.n, tuple(A.unit(i) for i in sorted(s))))
+        chain.append(Subspace(field, A.n, tuple([A.unit(i) for i in sorted(s)])))
         layers.append(tuple(sorted(s - prev)))
         seq.append(len(s) - len(prev))
         prev = s
@@ -119,7 +146,7 @@ def is_nil(A):
         if not field.is_zero(A.rows[i][i]):
             return CheckReport(False, Witness(
                 "diagonal_nonzero", (i + 1,),
-                left=_scaled(field, A.rows[i][i], A.unit(i)),
+                left=vec_scale(field, A.rows[i][i], A.unit(i)),
                 right=A.zero_element()))
     sets = _chain_index_sets(A)
     reached = sets[-1] if sets else frozenset()
@@ -128,9 +155,9 @@ def is_nil(A):
     stuck = tuple(sorted(set(range(A.n)) - reached))
     rep = A.zero_element()
     for j in stuck:
-        rep = _add(field, rep, A.unit(j))
+        rep = vec_add(field, rep, A.unit(j))
     return CheckReport(False, Witness(
-        "annihilator_chain_stalled", tuple(j + 1 for j in stuck),
+        "annihilator_chain_stalled", tuple([j + 1 for j in stuck]),
         left=rep, right=A.zero_element()))
 
 
@@ -179,7 +206,7 @@ def is_associative(A):
             if not is_zero_vector(field, rows[j]):
                 return CheckReport(False, Witness(
                     "assoc", (i + 1, j + 1),
-                    left=_scaled(field, ri[j], rows[j]), right=zero))
+                    left=vec_scale(field, ri[j], rows[j]), right=zero))
     return _OK
 
 
@@ -188,15 +215,17 @@ def is_fourth_power_associative(A):
     field = A.field
     rows = A.rows
     n = A.n
-    mul, is_zero = field.mul, field.is_zero
+    mul = field.mul
     zero = A.zero_element()
+    supp = _row_supports(A)
 
     # 1) e_i^4 = e_i^2 e_i^2
     for i in range(n):
+        if not _meets(supp, i, i):
+            continue
         ri = rows[i]
-        left = multiply(A, ri, ri)
-        aii2 = mul(ri[i], ri[i])
-        right = _scaled(field, aii2, ri)
+        left = _square_product(A, supp, i, i)
+        right = vec_scale(field, mul(ri[i], ri[i]), ri)
         if left != right:
             return CheckReport(False, Witness("pa4_1", (i + 1,), right, left))
     # 2) 2 e_i^2 e_j^2 = (e_i^2 e_j) e_j + (e_j^2 e_i) e_i
@@ -204,40 +233,40 @@ def is_fourth_power_associative(A):
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
+            if not _meets(supp, i, j):
+                continue
             rj = rows[j]
-            left = _scaled(field, two, multiply(A, ri, rj))
-            right = _add(field,
-                         _scaled(field, mul(ri[j], rj[j]), rj),
-                         _scaled(field, mul(rj[i], ri[i]), ri))
+            left = vec_scale(field, two, _square_product(A, supp, i, j))
+            right = vec_add(field,
+                            vec_scale(field, mul(ri[j], rj[j]), rj),
+                            vec_scale(field, mul(rj[i], ri[i]), ri))
             if left != right:
                 return CheckReport(False, Witness("pa4_2", (i + 1, j + 1), left, right))
-    # 3) e_i^3 e_j + (e_i^2 e_j) e_i = 0
+    # 3) e_i^3 e_j + (e_i^2 e_j) e_i = a_ii a_ij r_j + a_ij a_ji r_i = 0
     for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if j == i:
+        ri, si = rows[i], supp[i]
+        for j in si:
+            if j == i or not ((i in si and supp[j]) or i in supp[j]):
                 continue
             rj = rows[j]
-            val = _add(field,
-                       _scaled(field, mul(ri[i], ri[j]), rj),
-                       _scaled(field, mul(ri[j], rj[i]), ri))
+            val = vec_add(field,
+                          vec_scale(field, mul(ri[i], ri[j]), rj),
+                          vec_scale(field, mul(ri[j], rj[i]), ri))
             if not is_zero_vector(field, val):
                 return CheckReport(False, Witness("pa4_3", (i + 1, j + 1), val, zero))
-    # 4) (e_i^2 e_j) e_k + (e_i^2 e_k) e_j = 0 for j < k, both != i
+    # 4) (e_i^2 e_j) e_k + (e_i^2 e_k) e_j = 0 for j < k, both != i: a pair
+    # is live when a_ij a_jk r_k or a_ik a_kj r_j is nonzero
     for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(j + 1, n):
-                if k == i or (is_zero(ri[j]) and is_zero(ri[k])):
-                    continue
-                val = _add(field,
-                           _scaled(field, mul(ri[j], rows[j][k]), rows[k]),
-                           _scaled(field, mul(ri[k], rows[k][j]), rows[j]))
-                if not is_zero_vector(field, val):
-                    return CheckReport(False, Witness(
-                        "pa4_4", (i + 1, j + 1, k + 1), val, zero))
+        ri, si = rows[i], supp[i]
+        live = sorted({(min(j, k), max(j, k)) for j in si if j != i
+                       for k in supp[j] if k != i and k != j and supp[k]})
+        for j, k in live:
+            val = vec_add(field,
+                          vec_scale(field, mul(ri[j], rows[j][k]), rows[k]),
+                          vec_scale(field, mul(ri[k], rows[k][j]), rows[j]))
+            if not is_zero_vector(field, val):
+                return CheckReport(False, Witness(
+                    "pa4_4", (i + 1, j + 1, k + 1), val, zero))
     return _OK
 
 
@@ -256,8 +285,8 @@ def is_power_associative(A):
         a = A.rows[i][i]
         if field.mul(a, a) != a:
             diag = Witness("diagonal_not_idempotent", (i + 1,),
-                           left=_scaled(field, field.mul(a, a), A.unit(i)),
-                           right=_scaled(field, a, A.unit(i)))
+                           left=vec_scale(field, field.mul(a, a), A.unit(i)),
+                           right=vec_scale(field, a, A.unit(i)))
             break
     rep = is_fourth_power_associative(A)
     if not rep.verdict and diag is not None:
@@ -276,7 +305,7 @@ def is_jordan(A):
     for i in range(n):
         ri = rows[i]
         left = multiply(A, ri, ri)
-        right = _scaled(field, mul(ri[i], ri[i]), ri)
+        right = vec_scale(field, mul(ri[i], ri[i]), ri)
         if left != right:
             return CheckReport(False, Witness("jordan_1", (i + 1,), left, right))
     for i in range(n):
@@ -284,7 +313,7 @@ def is_jordan(A):
         for j in range(n):
             if j == i:
                 continue
-            val = _scaled(field, mul(ri[i], ri[j]), rows[j])
+            val = vec_scale(field, mul(ri[i], ri[j]), rows[j])
             if not is_zero_vector(field, val):
                 return CheckReport(False, Witness("jordan_2", (i + 1, j + 1), val, zero))
     for i in range(n):
@@ -292,7 +321,7 @@ def is_jordan(A):
         for j in range(n):
             if j == i:
                 continue
-            val = _scaled(field, mul(ri[j], rows[j][i]), ri)
+            val = vec_scale(field, mul(ri[j], rows[j][i]), ri)
             if not is_zero_vector(field, val):
                 return CheckReport(False, Witness("jordan_3", (i + 1, j + 1), val, zero))
     for i in range(n):
@@ -300,8 +329,8 @@ def is_jordan(A):
         for j in range(i + 1, n):
             rj = rows[j]
             prod = multiply(A, ri, rj)
-            right1 = _scaled(field, mul(ri[j], rj[j]), rj)
-            right2 = _scaled(field, mul(rj[i], ri[i]), ri)
+            right1 = vec_scale(field, mul(ri[j], rj[j]), rj)
+            right2 = vec_scale(field, mul(rj[i], ri[i]), ri)
             if prod != right1 or prod != right2:
                 return CheckReport(False, Witness(
                     "jordan_4", (i + 1, j + 1), prod,
@@ -315,7 +344,7 @@ def is_jordan(A):
             for k in range(n):
                 if k == i or k == j or is_zero(rj[k]):
                     continue
-                val = _scaled(field, mul(ri[j], rj[k]), rows[k])
+                val = vec_scale(field, mul(ri[j], rj[k]), rows[k])
                 if not is_zero_vector(field, val):
                     return CheckReport(False, Witness(
                         "jordan_5", (i + 1, j + 1, k + 1), val, zero))
@@ -334,23 +363,23 @@ def nil_fourth_pa_criterion(A):
     rows = A.rows
     n = A.n
     zero = A.zero_element()
+    supp = _row_supports(A)
     for i in range(n):
         for j in range(i, n):
-            val = multiply(A, rows[i], rows[j])
+            if not _meets(supp, i, j):
+                continue
+            val = _square_product(A, supp, i, j)
             if not is_zero_vector(field, val):
                 return CheckReport(False, Witness("nil_pa4_1", (i + 1, j + 1), val, zero))
-    mul, is_zero = field.mul, field.is_zero
+    # a single term a_ij a_jk r_k: nonzero iff each factor is
+    mul = field.mul
     for i in range(n):
         ri = rows[i]
-        for j in range(n):
-            if is_zero(ri[j]):
-                continue
+        for j in supp[i]:
             rj = rows[j]
-            for k in range(n):
-                if is_zero(rj[k]):
-                    continue
-                val = _scaled(field, mul(ri[j], rj[k]), rows[k])
-                if not is_zero_vector(field, val):
+            for k in supp[j]:
+                if supp[k]:
+                    val = vec_scale(field, mul(ri[j], rj[k]), rows[k])
                     return CheckReport(False, Witness(
                         "nil_pa4_2", (i + 1, j + 1, k + 1), val, zero))
     return _OK
@@ -386,6 +415,6 @@ def nil_nonassoc_certificate(A):
         for j in range(A.n):
             if j != i and not field.is_zero(A.rows[i][j]) \
                     and not is_zero_vector(field, A.rows[j]):
-                a = _add(field, A.unit(i), A.unit(j))
+                a = vec_add(field, A.unit(i), A.unit(j))
                 return a, A.unit(i)
     raise NotNil("no non-associative pair: the algebra is associative")

@@ -95,7 +95,7 @@ def parse_matrix_file(field, text, n):
             toks = toks[1:]
         if len(toks) != n:
             raise ShapeError(f"matrix line {ln}: expected {n} entries")
-        rows.append(tuple(field.parse(t) for t in toks))
+        rows.append(tuple([field.parse(t) for t in toks]))
     if len(rows) != n:
         raise ShapeError(f"matrix has {len(rows)} rows, expected {n}")
     return tuple(rows)

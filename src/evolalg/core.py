@@ -5,6 +5,12 @@ holds the coefficients of e_i^2 in the natural basis, and all products of
 distinct basis vectors vanish.  Elements are coordinate tuples; subspaces
 are kept in reduced row-echelon form so that equality and membership are
 structural.
+
+Tuples are built as tuple([...]), not from a generator.  CPython grows a
+tuple built from a generator from ten slots and then shrinks it, and the
+shrunk tuple ends on the free list of its size, which such calls never
+draw from; over a long run of checks those free lists fill to their cap
+of 2,000 entries per size.
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,7 @@ class EvolutionAlgebra:
 
     def unit(self, i):
         z = self.field.zero
-        return tuple(self.field.one if k == i else z for k in range(self.n))
+        return tuple([self.field.one if k == i else z for k in range(self.n)])
 
     def zero_element(self):
         return (self.field.zero,) * self.n
@@ -42,7 +48,7 @@ def new_evolution_algebra(field, matrix_rows):
     if n == 0:
         raise ShapeError("dimension must be at least 1")
     for r in matrix_rows:
-        r = tuple(field.coerce(x) for x in r)
+        r = tuple([field.coerce(x) for x in r])
         if len(r) != n:
             raise ShapeError(f"matrix is not square: row of length {len(r)}, expected {n}")
         rows.append(r)
@@ -55,7 +61,7 @@ def _check_element(A, x):
 
 
 def element(A, coords):
-    x = tuple(A.field.coerce(c) for c in coords)
+    x = tuple([A.field.coerce(c) for c in coords])
     _check_element(A, x)
     return x
 
@@ -93,7 +99,7 @@ def associator(A, x, y, z):
     left = multiply(A, multiply(A, x, y), z)
     right = multiply(A, x, multiply(A, y, z))
     sub = A.field.sub
-    return tuple(sub(l, r) for l, r in zip(left, right))
+    return tuple([sub(l, r) for l, r in zip(left, right)])
 
 
 def is_zero_vector(field, v):
@@ -105,17 +111,12 @@ def vec_scale(field, c, v):
     if field.is_zero(c):
         return (field.zero,) * len(v)
     mul = field.mul
-    return tuple(mul(c, a) for a in v)
+    return tuple([mul(c, a) for a in v])
 
 
 def vec_add(field, u, v):
     add = field.add
-    return tuple(add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(field, u, v):
-    sub = field.sub
-    return tuple(sub(a, b) for a, b in zip(u, v))
+    return tuple([add(a, b) for a, b in zip(u, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ class Subspace:
 def subspace_from_vectors(field, ambient, vectors):
     vecs = []
     for v in vectors:
-        v = tuple(field.coerce(c) for c in v)
+        v = tuple([field.coerce(c) for c in v])
         if len(v) != ambient:
             raise FieldMismatch(f"vector of length {len(v)} in ambient dim {ambient}")
         if not is_zero_vector(field, v):
@@ -241,7 +242,7 @@ def product_subspace(A, U, V):
 
 
 def full_space(A):
-    return Subspace(A.field, A.n, tuple(A.unit(i) for i in range(A.n)))
+    return Subspace(A.field, A.n, tuple([A.unit(i) for i in range(A.n)]))
 
 
 def power_subspace(A, k):

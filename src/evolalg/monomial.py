@@ -25,7 +25,7 @@ scalings.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .fields import _is_prime
 
@@ -202,34 +202,27 @@ def _power_class_rep(field, fr, g):
 
 
 def _int_kernel(rows, ncols):
-    """Integer basis of the rational kernel of the given integer rows."""
-    if not rows:
-        return [[1 if c == k else 0 for c in range(ncols)] for k in range(ncols)]
-    mat = [[Fraction(v) for v in row] for row in rows]
-    piv_r, pivots = 0, []
-    for c in range(ncols):
-        pr = next((r for r in range(piv_r, len(mat)) if mat[r][c] != 0), None)
-        if pr is None:
-            continue
-        mat[piv_r], mat[pr] = mat[pr], mat[piv_r]
-        f = mat[piv_r][c]
-        mat[piv_r] = [v / f for v in mat[piv_r]]
-        for r in range(len(mat)):
-            if r != piv_r and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[piv_r])]
-        pivots.append(c)
-        piv_r += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][free]
-        scale = lcm(*(x.denominator for x in v))
-        basis.append([int(x * scale) for x in v])
+    """Basis of the lattice of integer y with row.y = 0 for every row.
+
+    Unimodular column operations keep the basis a basis of the kernel
+    lattice of the rows seen so far: per row, Euclid on the values row.y
+    leaves one vector with the gcd as its value and the rest with 0, and
+    that one is dropped.  The result spans the whole kernel lattice, not
+    only a sublattice of finite index.
+    """
+    basis = [[1 if c == k else 0 for c in range(ncols)] for k in range(ncols)]
+    for row in rows:
+        vals = [sum(r * b for r, b in zip(row, base)) for base in basis]
+        live = [k for k, v in enumerate(vals) if v]
+        while len(live) > 1:
+            p = min(live, key=lambda k: abs(vals[k]))
+            for k in live:
+                if k != p:
+                    q = vals[k] // vals[p]
+                    vals[k] -= q * vals[p]
+                    basis[k] = [a - q * b for a, b in zip(basis[k], basis[p])]
+            live = [k for k in live if vals[k]]
+        basis = [base for base, v in zip(basis, vals) if v == 0]
     return basis
 
 

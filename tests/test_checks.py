@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,16 @@ from evolalg import (
     u_layer_square_dim,
 )
 
-from conftest import elements_of, fp_pa4_violation, naive_multiply, random_fp_matrix
+from conftest import (
+    elements_of,
+    first_catalog_instance,
+    fp_pa4_violation,
+    monomial_disguise,
+    naive_multiply,
+    random_fp_matrix,
+)
+
+GOLDEN_WITNESS = Path(__file__).resolve().parent / "golden" / "checks_witness.txt"
 
 
 def n46(field):
@@ -301,3 +311,120 @@ def test_nil_pa_nonassoc_structure(Q):
         assert not ev.membership(E2, y)
         for row in E2.basis:
             assert ev.multiply(A, y, row) == A.zero_element()
+
+
+def _witness_inputs():
+    """Seeded (name, algebra) pairs over F_7, F_13 and Q.
+
+    Per dimension 1-6 and zero density 0.2, 0.5, 0.8, six draws of four
+    shapes: "plain" (independent entries), "nil" (strictly triangular under
+    a random relabelling), and "pairs"/"nilpairs", where basis vectors come
+    in pairs with opposite squares and rows hit both members of a pair with
+    coefficients of equal square.  Pairs make e_i^2 e_i^2 cancel, so the
+    first condition holds and the later conditions get tested.  Then every
+    catalog family of dims 1-6 as a monomial disguise of its first instance,
+    and that disguise with one entry overwritten.
+    """
+    for field in (ev.make_field("Fp", 7), ev.make_field("Fp", 13), ev.make_field("Q")):
+        name = field.describe()
+        pool = [field.coerce(c) for c in (1, -1, 2, -2)]
+        if field.kind != "prime":
+            pool += [field.parse("1/2"), field.parse("-1/3")]
+        for dim in range(1, 7):
+            for zeros in (0.2, 0.5, 0.8):
+                rng = random.Random(f"checks_witness:{name}:{dim}:{zeros}")
+                for t in range(6):
+                    for shape in ("plain", "nil", "pairs", "nilpairs"):
+                        rows = _witness_rows(field, dim, zeros, shape, pool, rng)
+                        yield (f"{name} d{dim} z{zeros} {shape} #{t}",
+                               new_evolution_algebra(field, rows))
+        for dim in range(1, 7):
+            rng = random.Random(f"checks_witness:{name}:{dim}:catalog")
+            for fam in ev.families_of_dim(dim):
+                D = monomial_disguise(field, first_catalog_instance(field, fam)[0], rng)
+                yield f"{name} {fam.name()}", D
+                rows = [list(r) for r in D.rows]
+                i, k = rng.randrange(dim), rng.randrange(dim)
+                rows[i][k] = rng.choice([field.zero] + pool)
+                yield (f"{name} {fam.name()} e{i + 1}{k + 1}:{rows[i][k]}",
+                       new_evolution_algebra(field, rows))
+
+
+def _witness_rows(field, dim, zeros, shape, pool, rng):
+    nil = shape.startswith("nil")
+    order = list(range(dim))
+    rng.shuffle(order)
+    if not shape.endswith("pairs"):
+        return [[field.zero if (nil and order.index(k) <= order.index(i))
+                 or rng.random() < zeros else rng.choice(pool)
+                 for k in range(dim)] for i in range(dim)]
+    groups, start = [], 0
+    while start < dim:
+        size = 2 if rng.random() < 2 / 3 else 1
+        groups.append(order[start:start + size])
+        start += size
+    # a singleton is a sink (zero row) or a source (never referenced)
+    source = [len(g) == 1 and rng.random() < 0.5 for g in groups]
+    rows = [[field.zero] * dim for _ in range(dim)]
+    for gi, g in enumerate(groups):
+        if len(g) == 1 and not source[gi]:
+            continue
+        for hi, h in enumerate(groups):
+            if hi == gi or source[hi] or (nil and hi < gi) or rng.random() < zeros:
+                continue
+            c = rng.choice(pool)
+            for m in h:
+                rows[g[0]][m] = rng.choice((c, field.neg(c)))
+        if len(g) == 2:
+            rows[g[1]] = [field.neg(v) for v in rows[g[0]]]
+    return rows
+
+
+def _report_text(rep):
+    w = rep.witness
+    if w is None:
+        return str(rep.verdict)
+
+    def vec(v):
+        return "-" if v is None else ",".join(map(str, v))
+
+    return (f"{rep.verdict} {w.condition} | {vec(w.indices)} | "
+            f"{vec(w.left)} | {vec(w.right)}")
+
+
+def checks_witness_lines():
+    """One line per (input, check): the verdict and, on failure, the witness
+    condition, indices and both sides.  The nil criterion runs on nil inputs
+    only."""
+    lines = []
+    for name, A in _witness_inputs():
+        reps = [("pa4", is_fourth_power_associative(A)),
+                ("pa", is_power_associative(A)),
+                ("jordan", is_jordan(A))]
+        if is_nil(A).verdict:
+            reps.append(("nil_pa4", nil_fourth_pa_criterion(A)))
+        lines += [f"{name} {tag} {_report_text(rep)}" for tag, rep in reps]
+        prof = nil_profile(A)
+        lines.append(f"{name} nil_profile {prof.is_nil} "
+                     f"{prof.right_nilpotency_index} {prof.nil_index_pa}")
+    return lines
+
+
+def test_checks_match_golden_witnesses():
+    # the golden file was written by checks_witness_lines() with the dense
+    # identity checks; a differing line is a changed verdict or witness to
+    # explain, not a file to regenerate
+    want = GOLDEN_WITNESS.read_text(encoding="utf-8").splitlines()
+    got = checks_witness_lines()
+    assert len(got) == len(want)
+    diff = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not diff, diff[:5]
+
+
+def test_golden_witnesses_hit_every_condition():
+    conditions = {line.split(" | ")[0].rsplit(" ", 1)[1]
+                  for line in GOLDEN_WITNESS.read_text(encoding="utf-8").splitlines()
+                  if " | " in line}
+    want = {f"pa4_{k}" for k in range(1, 5)} | {f"jordan_{k}" for k in range(1, 6)}
+    want |= {"nil_pa4_1", "nil_pa4_2", "diagonal_not_idempotent"}
+    assert want <= conditions, want - conditions

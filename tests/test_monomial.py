@@ -10,8 +10,11 @@ import pytest
 
 import evolalg as ev
 from evolalg.classify import _canonical_orbit_rep
+from evolalg.core import rref, solve_in_span
 from evolalg.monomial import (
     _factor,
+    _gcd_combo,
+    _int_kernel,
     _power_class_rep,
     _reduce_slots,
     _roots,
@@ -103,6 +106,26 @@ def test_fp_slot_reduction_is_the_orbit_minimum():
 
         best = min(slots(s) for s in itertools.product(range(1, p), repeat=m))
         assert slots(_reduce_slots(field, consts, rows, m)) == best, (p, consts, rows)
+
+
+def test_int_kernel_spans_the_kernel_lattice():
+    # (0,1,-1) is in the kernel of (2,1,1), so the middle slot's exponent
+    # can move by 1; a sublattice basis such as (-1,2,0), (-1,0,2) only
+    # reaches even moves there
+    assert _gcd_combo([0, 1, 0], _int_kernel([[2, 1, 1]], 3))[0] == 1
+    Q = ev.make_field("Q")
+    rng = random.Random(17)
+    for _ in range(100):
+        m = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, 3))]
+        basis = _int_kernel(rows, m)
+        assert len(rref(Q, basis)) == len(basis) == m - len(rref(Q, rows)), rows
+        for y in itertools.product(range(-2, 3), repeat=m):
+            if any(sum(r * v for r, v in zip(row, y)) for row in rows):
+                continue
+            coeffs = solve_in_span(Q, [tuple(map(Fraction, b)) for b in basis],
+                                   tuple(map(Fraction, y)))
+            assert all(c.denominator == 1 for c in coeffs), (rows, y, basis)
 
 
 def test_solution_count_does_not_grow_with_p():
