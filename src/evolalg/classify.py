@@ -638,11 +638,15 @@ class ParamsEquivalence:
 def params_equivalent(dim, index, p1, p2, field):
     """Decide whether two parameter tuples name isomorphic catalog members.
 
-    Both instances are classified; since classification canonicalizes
+    Both instances are classified; classification canonicalizes
     parameters over all normalization arrangements and monomial changes,
-    equal canonical parameters decide equivalence.  Over a prime field the
-    verdict is exact; over Q a negative is not a proof, since the rational
-    reduction ignores sign changes of the free scalings.
+    so equal canonical parameters prove equivalence, with a verified
+    witness.  A negative is exact only up to those changes.  Over a prime
+    field it is reported as "no"; a natural basis that is not monomial can
+    still join members whose rows are dependent (over F_7, N_{4,5}(1,3)
+    and N_{4,5}(1,1) are isomorphic).  Over Q it is not a proof either,
+    since the rational reduction also ignores sign changes of the free
+    scalings.
     """
     fam = family(dim, index)
     C1 = instantiate(fam, field, p1)

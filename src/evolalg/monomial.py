@@ -2,29 +2,47 @@
 
 A monomial change f_i = t_i e_{sigma(i)} turns the structure matrix A into
 B[i][j] = t_i^2 A[sigma(i)][sigma(j)] / t_j.  ``monomial_solutions``
-backtracks over sigma with zero-pattern pruning and then solves the
+backtracks over sigma with zero-pattern pruning and solves the
 multiplicative system for the scalings exactly, over Q and over F_p alike,
-without searching over field elements:
+without searching over field elements.  The solve is compiled once per
+target shape and replayed per sigma.
 
-- every scaling is a scalar times a Laurent monomial in free symbols,
+Compile (``_plan``, memoized by shape: the kind of every target cell and
+the name of every slot).  The solve runs once with formal constants, one
+variable per source value, target scalar and root taken:
+
+- every scaling is a constant times a Laurent monomial in free symbols,
   introduced where propagation along the fixed cells stalls;
 - a conflict between two such values is an equation c * prod s^e = 1; a
-  unimodular change of symbols reduces it to one symbol, which then takes
-  each of its d-th roots in turn (exact rational roots over Q;
-  Tonelli-Shanks / Adleman-Manders-Miller over F_p);
-- parameter slots are reduced in order, each to the least representative
-  of its orbit under the free moves that keep the earlier slots fixed.
-  Over Q the moves form the integer kernel of the earlier exponent rows
-  and the representative is the height-minimal member of a power class.
-  Over F_p the moves are exponent vectors modulo p - 1, so torsion such
-  as t -> -t counts, and the representative is the least element of a
-  coset of the g-th powers, a subgroup of index gcd(g, p - 1).
+  unimodular change of symbols reduces it to one symbol, whose d-th roots
+  are recorded as a step ("root", c, d); a conflict with equal exponents
+  is recorded as ("check", c), which holds only where c is 1.
+
+Every branch of the solve depends on the exponents only, never on the
+constants, so the run is one straight line of steps and ends with the
+exponent rows of the slots and the expressions of the lambdas and slot
+values.
+
+Replay (``_replay``, per sigma).  The steps are evaluated with plain field
+arithmetic on the permuted source values, branching over the roots depth
+first (exact rational roots over Q; Tonelli-Shanks /
+Adleman-Manders-Miller over F_p).  On each branch the parameter slots are
+reduced in order, each to the least representative of its orbit under
+the free moves that keep the earlier slots fixed; the moves depend on the
+exponent rows and the field only (``_slot_moves``, once per call).  Over
+Q they form the integer kernel of the earlier exponent rows and the
+representative is the height-minimal member of a power class.  Over F_p
+they are exponent vectors modulo p - 1, so torsion such as t -> -t
+counts, and the representative is the least element of a coset of the
+g-th powers, a subgroup of index gcd(g, p - 1).
 
 The work therefore does not grow with p or with the height of the
-scalings.
+scalings, and the symbolic part is paid once per shape.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .fields import _is_prime
@@ -163,10 +181,6 @@ def _roots(field, a, d):
     return [r, -r] if a > 0 else []
 
 
-def _pow(field, a, e):
-    return pow(a, e, field.p) if field.kind == "prime" else a ** e
-
-
 # ---------------------------------------------------------------------------
 # slot reduction: the least orbit representative under the free moves
 
@@ -285,37 +299,43 @@ def _split_moves(moves, row, N):
     return d, [scale * x % N for x in pivot], kernel
 
 
-def _reduce_slots(field, consts, rows, m):
+def _slot_moves(field, rows, m):
+    """Per slot row, the free moves that reduce it, given that the earlier
+    slots stay fixed: (row, g, y) means the slot's reachable factors are
+    the g-th powers t^g, reached by multiplying the m symbols by t^y.  g is
+    None where the slot is left as it is: it cannot move, or, over Q, g is
+    odd.  Depends on the rows and the field only."""
+    out = []
+    if field.kind == "rationals":
+        for k, row in enumerate(rows):
+            g, y = _gcd_combo(row, _int_kernel(rows[:k], m))
+            out.append((row, g, y) if g and g % 2 == 0 else (row, None, None))
+        return out
+    N = field.p - 1
+    moves = [[1 if c == k else 0 for c in range(m)] for k in range(m)]
+    for row in rows:
+        d, y, moves = _split_moves(moves, row, N)
+        out.append((row, None, None) if d == N else (row, d, y))
+    return out
+
+
+def _reduce_slots(field, consts, moves, m):
     """Values of the m free symbols that bring every slot c * s^row, in
     order, to the least representative of its orbit under the moves that
-    keep the earlier slots fixed."""
+    keep the earlier slots fixed (``moves`` from ``_slot_moves``)."""
     symval = [field.one] * m
-
-    def current(c, row):
-        for v, e in zip(symval, row):
-            c = field.mul(c, _pow(field, v, e))
-        return c
-
-    if field.kind == "rationals":
-        rows_done = []
-        for c, row in zip(consts, rows):
-            g, y = _gcd_combo(row, _int_kernel(rows_done, m))
-            if g and g % 2 == 0:
-                _, t = _power_class_rep(field, current(c, row), g)
-                symval = [v * t ** e for v, e in zip(symval, y)]
-            rows_done.append(row)
-        return symval
-    p = field.p
-    N = p - 1
-    moves = [[1 if c == k else 0 for c in range(m)] for k in range(m)]
-    for c, row in zip(consts, rows):
-        d, y, moves = _split_moves(moves, row, N)
-        if d == N:
+    for c, (row, g, y) in zip(consts, moves):
+        if g is None:
             continue
-        value = current(c, row)
+        value = field.mul(c, _evaluate(field, enumerate(row), symval))
+        if field.kind == "rationals":
+            _, t = _power_class_rep(field, value, g)
+            symval = [v * t ** e for v, e in zip(symval, y)]
+            continue
+        p = field.p
         inv = pow(value, -1, p)
-        least = next(a for a in range(1, p) if pow(a * inv % p, N // d, p) == 1)
-        t = _roots(field, least * inv % p, d)[0]
+        least = next(a for a in range(1, p) if pow(a * inv % p, (p - 1) // g, p) == 1)
+        t = _roots(field, least * inv % p, g)[0]
         symval = [v * pow(t, e, p) % p for v, e in zip(symval, y)]
     return symval
 
@@ -364,10 +384,16 @@ def monomial_solutions(field, src_rows, cells, slot_names=(), det_constraints=()
         return
     src_nz = [[not field.is_zero(v) for v in row] for row in src_rows]
     tgt_nz = [[c[0] != "zero" for c in row] for row in cells]
-    if sorted(_profiles(src_nz)) != sorted(_profiles(tgt_nz)):
-        return
     src_prof = _profiles(src_nz)
     tgt_prof = _profiles(tgt_nz)
+    if sorted(src_prof) != sorted(tgt_prof):
+        return
+    plan = _plan(tuple(tuple(c[:2] if c[0] == "slot" else c[:1] for c in row)
+                       for row in cells), tuple(slot_names))
+    if plan is None:
+        return
+    targets = [cells[i][j][-1] for i, j in plan.cells]
+    moves = _slot_moves(field, plan.rows, plan.nsyms)
     candidates = [[v for v in range(n) if src_prof[v] == tgt_prof[i]]
                   for i in range(n)]
     order = sorted(range(n), key=lambda i: len(candidates[i]))
@@ -376,8 +402,15 @@ def monomial_solutions(field, src_rows, cells, slot_names=(), det_constraints=()
 
     def assign(pos):
         if pos == n:
-            yield from _solve_scalings(field, src_rows, cells, sigma,
-                                       slot_names, det_constraints)
+            env = []
+            for (i, j), t in zip(plan.cells, targets):
+                env += (src_rows[sigma[i]][sigma[j]], t)
+            for lam, values in _replay(field, plan, moves, env):
+                named = dict(zip(slot_names, values))
+                if not any(field.is_zero(field.sub(field.mul(named[a], named[d]),
+                                                   field.mul(named[b], named[c])))
+                           for a, b, c, d in det_constraints):
+                    yield tuple(sigma), lam, values
             return
         i = order[pos]
         for v in candidates[i]:
@@ -402,53 +435,77 @@ def monomial_solutions(field, src_rows, cells, slot_names=(), det_constraints=()
     yield from assign(0)
 
 
-def _solve_scalings(field, src_rows, cells, sigma, slot_names, det_constraints):
-    """Exact scaling solver: free scalings stay symbolic.
+# ---------------------------------------------------------------------------
+# the scaling solve, compiled once per target shape
 
-    A value is (scalar, ((symbol, exponent), ...)).  Slot values are
-    reduced, in slot order, by ``_reduce_slots``; this makes the reported
-    parameters a deterministic function of the branch's monomial orbit.
+
+_Plan = namedtuple("_Plan", "cells steps rows nsyms lam values")
+
+
+def _mono(a, b, k=1):
+    """a * b^k for Laurent monomials stored as sorted (variable, exponent)."""
+    exp = dict(a)
+    for v, e in b:
+        exp[v] = exp.get(v, 0) + k * e
+    return tuple(sorted((v, e) for v, e in exp.items() if e))
+
+
+@lru_cache(maxsize=256)
+def _plan(shape, slot_names):
+    """Compile the scaling solve for one target shape, or None if it has no
+    solution at all.
+
+    ``shape`` holds the kind of every target cell and the name of every
+    slot.  The solve runs once with formal constants: for the k-th nonzero
+    cell (``cells[k]``), variable 2k is the source value and 2k + 1 the
+    target scalar; each root step adds the next variable.  A value is a
+    pair (constant, scaling) of Laurent monomials, the scaling over free
+    symbols.  Every branch of the solve depends on scaling exponents only,
+    so the run is one straight line of steps:
+
+    - ("check", c): the branch survives only where c evaluates to 1;
+    - ("root", c, d): the branch continues once per d-th root of c.
+
+    It ends with the exponent rows of the slots, the number of symbols and
+    the (constant, scaling) of every lambda and slot value, the scalings
+    as (symbol position, exponent) pairs.
     """
-    n = len(src_rows)
-    mul, div, one = field.mul, field.div, field.one
-    fixed = []
-    slots = []
-    for i in range(n):
-        for j in range(n):
-            cell = cells[i][j]
-            if cell[0] == "fixed":
-                fixed.append((i, j, src_rows[sigma[i]][sigma[j]], cell[1]))
-            elif cell[0] == "slot":
-                slots.append((i, j, src_rows[sigma[i]][sigma[j]], cell[1], cell[2]))
+    n = len(shape)
+    cells = [(i, j) for i in range(n) for j in range(n) if shape[i][j][0] != "zero"]
+    fixed, slots = [], []
+    for k, (i, j) in enumerate(cells):
+        src, tgt = (((2 * k, 1),), ()), (((2 * k + 1, 1),), ())
+        if shape[i][j][0] == "fixed":
+            fixed.append((i, j, src, tgt))
+        else:
+            slots.append((i, j, src, shape[i][j][1], tgt))
+    nvars = 2 * len(cells)
+    steps = []
 
-    def smul(a, b):
-        exp = dict(a[1])
-        for s, e in b[1]:
-            exp[s] = exp.get(s, 0) + e
-        return (mul(a[0], b[0]), tuple(sorted((s, e) for s, e in exp.items() if e)))
+    def smul(a, b, k=1):
+        return _mono(a[0], b[0], k), _mono(a[1], b[1], k)
 
-    def spow(a, d):
-        return (_pow(field, a[0], d), tuple((s, d * e) for s, e in a[1]))
-
-    def sdiv(a, b):
-        return smul(a, spow(b, -1))
-
-    def const(c):
-        return (c, ())
+    def square_times(a, c):
+        return smul(smul(a, a), c)
 
     def subst(vals, sym, value):
-        """Replace a symbol by a value (scalar or monomial) throughout."""
+        """Replace a symbol by a value (constant or monomial) throughout."""
         out = {}
-        for k, (c, exp) in vals.items():
+        for key, (c, exp) in vals.items():
             e = dict(exp)
             d = e.pop(sym, 0)
-            out[k] = smul((c, tuple(sorted(e.items()))), spow(value, d)) if d \
-                else (c, exp)
+            out[key] = smul((c, tuple(sorted(e.items()))), value, d) if d else (c, exp)
         return out
 
     def resolve(vals, lhs, rhs):
-        """Branches of vals on which lhs == rhs."""
-        c, exp = sdiv(lhs, rhs)
+        """Record lhs == rhs; returns the values to restart from, or None
+        when it is a check on the constants only."""
+        nonlocal nvars
+        c, exp = smul(lhs, rhs, -1)
+        if not exp:
+            if c:
+                steps.append(("check", c))
+            return None
         exp = dict(exp)
         # c * prod s^e = 1: swap symbols unimodularly (Euclid on the
         # exponents) until one symbol is left, then take its roots
@@ -456,102 +513,139 @@ def _solve_scalings(field, src_rows, cells, sigma, slot_names, det_constraints):
             a = min(exp, key=lambda s: (abs(exp[s]), s))
             b = min(s for s in exp if s != a)
             q = exp[b] // exp[a]
-            vals = subst(vals, a, (one, tuple(sorted(((a, 1), (b, -q))))))
+            vals = subst(vals, a, ((), tuple(sorted(((a, 1), (b, -q))))))
             exp[b] -= q * exp[a]
             if not exp[b]:
                 del exp[b]
-        if not exp:
-            return [vals] if c == one else []
         (sym, d), = exp.items()
-        target = field.inv(c)
+        target = _mono((), c, -1)
         if d < 0:
             target, d = c, -d
-        return [subst(vals, sym, const(r)) for r in _roots(field, target, d)]
+        steps.append(("root", target, d))
+        nvars += 1
+        return subst(vals, sym, (((nvars - 1, 1),), ()))
 
     fixed_hits = {}
     for i, j, _, _ in fixed:
         fixed_hits[i] = fixed_hits.get(i, 0) + 1
         fixed_hits[j] = fixed_hits.get(j, 0) + 1
 
-    def extend(vals, next_sym):
-        vals = dict(vals)
-        # propagation with conflict resolution
-        while True:
+    vals, next_sym = {}, 0
+    while True:
+        # propagation along the fixed cells; a conflict restarts it
+        restart = None
+        while restart is None:
             changed = False
             for i, j, c, f in fixed:
                 li, lj = vals.get(i), vals.get(j)
                 if i == j:
-                    want = const(div(f, c))
+                    want = smul(f, c, -1)
                     if li is None:
                         vals[i] = want
                         changed = True
-                    elif li != want:
-                        for solved in resolve(vals, li, want):
-                            yield from extend(solved, next_sym)
-                        return
-                    continue
-                if li is not None and lj is None:
-                    vals[j] = sdiv(smul(spow(li, 2), const(c)), const(f))
+                    else:
+                        restart = resolve(vals, li, want)
+                elif li is not None and lj is None:
+                    vals[j] = smul(square_times(li, c), f, -1)
                     changed = True
-                elif li is not None and lj is not None:
-                    lhs = smul(spow(li, 2), const(c))
-                    rhs = smul(const(f), lj)
-                    if lhs != rhs:
-                        for solved in resolve(vals, lhs, rhs):
-                            yield from extend(solved, next_sym)
-                        return
+                elif li is not None:
+                    restart = resolve(vals, square_times(li, c), smul(f, lj))
+                if restart is not None:
+                    break
             if not changed:
                 break
-        for i, j, c, f in fixed:
-            if i not in vals and j in vals:
-                cc, exp = sdiv(smul(const(f), vals[j]), const(c))
-                if any(e % 2 for _, e in exp):
-                    # no monomial square root: give lam_i its own symbol
-                    # and let the conflict resolution solve the cell
-                    yield from extend({**vals, i: (one, ((next_sym, 1),))},
-                                      next_sym + 1)
-                    return
-                half = tuple((s, e // 2) for s, e in exp)
-                for r in _roots(field, cc, 2):
-                    yield from extend({**vals, i: (r, half)}, next_sym)
-                return
-        unknown = [k for k in range(n) if k not in vals]
-        if unknown:
-            k = max(unknown, key=lambda u: (fixed_hits.get(u, 0), -u))
-            yield from extend({**vals, k: (one, ((next_sym, 1),))}, next_sym + 1)
-            return
-        yield from finish(vals)
-
-    def finish(vals):
-        named = {}
-        for i, j, c, name, coeff in slots:
-            v = sdiv(sdiv(smul(spow(vals[i], 2), const(c)), vals[j]), const(coeff))
-            if name in named:
-                if named[name] != v:
-                    return
+        if restart is not None:
+            vals = restart
+            continue
+        back = next(((i, j, c, f) for i, j, c, f in fixed
+                     if i not in vals and j in vals), None)
+        if back is not None:
+            i, j, c, f = back
+            cc, exp = smul(smul(f, vals[j]), c, -1)
+            if any(e % 2 for _, e in exp):
+                # no monomial square root: give lam_i its own symbol and
+                # let the conflict resolution solve the cell
+                vals[i] = ((), ((next_sym, 1),))
+                next_sym += 1
             else:
-                named[name] = v
-        syms = sorted({s for c, exp in named.values() for s, _ in exp}
-                      | {s for c, exp in vals.values() for s, _ in exp})
-        symval = dict(zip(syms, _reduce_slots(
-            field, [named[name][0] for name in slot_names],
-            [[dict(named[name][1]).get(s, 0) for s in syms] for name in slot_names],
-            len(syms))))
+                steps.append(("root", cc, 2))
+                nvars += 1
+                vals[i] = (((nvars - 1, 1),), tuple((s, e // 2) for s, e in exp))
+            continue
+        unknown = [k for k in range(n) if k not in vals]
+        if not unknown:
+            break
+        k = max(unknown, key=lambda u: (fixed_hits.get(u, 0), -u))
+        vals[k] = ((), ((next_sym, 1),))
+        next_sym += 1
 
-        def evaluate(c, exp):
-            for s, e in exp:
-                c = mul(c, _pow(field, symval[s], e))
-            return c
+    named = {}
+    for i, j, c, name, coeff in slots:
+        v = smul(smul(square_times(vals[i], c), vals[j], -1), coeff, -1)
+        if name not in named:
+            named[name] = v
+        elif named[name][1] != v[1]:
+            return None
+        else:
+            resolve(vals, named[name], v)
+    syms = sorted({s for _, exp in named.values() for s, _ in exp}
+                  | {s for _, exp in vals.values() for s, _ in exp})
+    pos = {s: k for k, s in enumerate(syms)}
 
-        lam = tuple(evaluate(*vals[k]) for k in range(n))
-        values = {name: evaluate(*named[name]) for name in slot_names}
-        for pa, pb, pc, pd in det_constraints:
-            if field.is_zero(field.sub(mul(values[pa], values[pd]),
-                                       mul(values[pb], values[pc]))):
-                return
-        yield (tuple(sigma), lam, tuple(values[s] for s in slot_names))
+    def compiled(value):
+        return value[0], tuple((pos[s], e) for s, e in value[1])
 
-    yield from extend({}, 0)
+    return _Plan(tuple(cells), tuple(steps),
+                 tuple(tuple(dict(named[name][1]).get(s, 0) for s in syms)
+                       for name in slot_names),
+                 len(syms),
+                 tuple(compiled(vals[k]) for k in range(n)),
+                 tuple(compiled(named[name]) for name in slot_names))
+
+
+def _evaluate(field, mono, values):
+    """prod values[v]^e over the (v, e) of a monomial."""
+    if field.kind == "prime":
+        p = field.p
+        c = 1
+        for v, e in mono:
+            c = c * pow(values[v], e, p) % p
+        return c
+    c = field.one
+    for v, e in mono:
+        c *= values[v] ** e
+    return c
+
+
+def _replay(field, plan, moves, env):
+    """Run a plan on concrete values: yield (lambdas, slot values) for every
+    root branch, depth first, with roots in ``_roots`` order.  ``env`` holds
+    the formal variables' values and is extended by the roots taken."""
+    steps = plan.steps
+
+    def walk(k):
+        while k < len(steps):
+            step = steps[k]
+            c = _evaluate(field, step[1], env)
+            if step[0] == "check":
+                if c != field.one:
+                    return
+                k += 1
+                continue
+            for r in _roots(field, c, step[2]):
+                env.append(r)
+                yield from walk(k + 1)
+                env.pop()
+            return
+        consts = [_evaluate(field, c, env) for c, _ in plan.values]
+        symval = _reduce_slots(field, consts, moves, plan.nsyms)
+        lam = tuple(field.mul(_evaluate(field, c, env), _evaluate(field, exp, symval))
+                    for c, exp in plan.lam)
+        values = tuple(field.mul(c, _evaluate(field, exp, symval))
+                       for c, (_, exp) in zip(consts, plan.values))
+        yield lam, values
+
+    yield from walk(0)
 
 
 def monomial_witness(field, A_rows, B_rows):

@@ -298,3 +298,25 @@ def test_params_equivalent_witness_composition(F7):
         C1 = canonical_algebra(make_label(5, 12, (1, 2)), F7)
         C2 = canonical_algebra(make_label(5, 12, (1, 1)), F7)
         assert verify_isomorphism(C1, C2, pe.witness).verdict
+
+
+N45_BASIS = ((0, 0, 1, 0), (1, 3, 0, 0), (3, 6, 0, 0), (0, 0, 0, 3))
+
+
+def test_n45_natural_basis_change_merges_members(F7):
+    # e2 and e3 of N_{4,5}(a,b) square into one line, so the plane they
+    # span carries a quadratic form; over F_7 the form <1,3> is similar to
+    # <1,1>, and the non-monomial basis above realizes that similarity
+    A = canonical_algebra(make_label(4, 5, (1, 3)), F7)
+    B = canonical_algebra(make_label(4, 5, (1, 1)), F7)
+    assert change_basis(A, N45_BASIS) == B
+    M = mat_inverse(F7, tuple(zip(*N45_BASIS)))
+    assert verify_isomorphism(A, B, M).verdict
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: canonical parameters are "
+                   "monomial-orbit minima, not invariants under every natural basis change")
+def test_n45_isomorphic_members_share_params(F7):
+    assert classify(canonical_algebra(make_label(4, 5, (1, 3)), F7)).label == \
+        classify(canonical_algebra(make_label(4, 5, (1, 1)), F7)).label
+    assert params_equivalent(4, 5, (1, 3), (1, 1), F7).status == "equivalent"

@@ -1,5 +1,6 @@
 """The exact scaling solver: canonical parameters, roots, factoring, cost in p."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,15 +10,17 @@ from pathlib import Path
 import pytest
 
 import evolalg as ev
-from evolalg.classify import _canonical_orbit_rep
+from evolalg.classify import _canon_cache, _canonical_orbit_rep
 from evolalg.core import rref, solve_in_span
 from evolalg.monomial import (
     _factor,
     _gcd_combo,
     _int_kernel,
+    _plan,
     _power_class_rep,
     _reduce_slots,
     _roots,
+    _slot_moves,
     monomial_solutions,
     pattern_cells,
 )
@@ -25,6 +28,7 @@ from evolalg.monomial import (
 from conftest import first_catalog_instance, monomial_disguise
 
 GOLDEN_FP = Path(__file__).resolve().parent / "golden" / "canon_fp.txt"
+GOLDEN_YIELDS = Path(__file__).resolve().parent / "golden" / "solver_yields.txt"
 
 
 def canon_fp_lines():
@@ -62,6 +66,70 @@ def test_canonical_params_fp_match_golden():
     # of canonical parameters to explain, not a file to regenerate
     want = GOLDEN_FP.read_text(encoding="utf-8").splitlines()
     got = canon_fp_lines()
+    assert len(got) == len(want)
+    diff = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not diff, diff[:5]
+
+
+def _draw_params(field, fam, rng):
+    if field.kind == "prime":
+        return tuple(rng.randrange(1, field.p) for _ in range(fam.nparams))
+    return tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+                 for _ in range(fam.nparams))
+
+
+def solver_yields_lines():
+    """The full scaling-solver output on seeded members of every
+    parametrized family over F_7, F_13, F_101 and Q: yield count and digest
+    of the ``monomial_solutions`` sequence on the member itself, its
+    canonical parameters, and the classify label, iso and monomial witness
+    of one seeded disguise."""
+    lines = []
+    for field in (_fp(7), _fp(13), _fp(101), ev.make_field("Q")):
+        for dim in range(1, 7):
+            for fam in ev.families_of_dim(dim):
+                if not fam.nparams:
+                    continue
+                rng = random.Random(f"solver_yields:{field.describe()}:{fam.name()}")
+                drawn = 0
+                while drawn < 4:
+                    params = _draw_params(field, fam, rng)
+                    try:
+                        C = ev.catalog.instantiate(fam, field, params)
+                    except ev.ParamConstraintViolated:
+                        continue
+                    drawn += 1
+                    ys = list(monomial_solutions(
+                        field, C.rows, pattern_cells(fam, field),
+                        slot_names=fam.param_names,
+                        det_constraints=fam.det_constraints))
+                    digest = hashlib.sha256(repr(ys).encode()).hexdigest()[:16]
+                    canon = _canonical_orbit_rep(field, fam, params)[0]
+                    D = monomial_disguise(field, C, rng)
+                    res = ev.classify(D)
+                    wit = ev.monomial_isomorphism(C, D)
+                    lines.append(" ".join((
+                        field.describe(), fam.name(), _csv(params),
+                        f"yields {len(ys)} {digest}", "canon", _csv(canon),
+                        "label", res.label.name(), "iso", _mat(res.iso),
+                        "witness", _mat(wit) if wit else "-")))
+    return lines
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+def _mat(rows):
+    return ";".join(_csv(r) for r in rows)
+
+
+def test_solver_output_matches_golden():
+    # written by solver_yields_lines() before the solver was compiled into
+    # per-shape plans; a differing line is a change of solver output to
+    # explain, not a file to regenerate
+    want = GOLDEN_YIELDS.read_text(encoding="utf-8").splitlines()
+    got = solver_yields_lines()
     assert len(got) == len(want)
     diff = [(w, g) for w, g in zip(want, got) if w != g]
     assert not diff, diff[:5]
@@ -105,7 +173,8 @@ def test_fp_slot_reduction_is_the_orbit_minimum():
                          for c, row in zip(consts, rows))
 
         best = min(slots(s) for s in itertools.product(range(1, p), repeat=m))
-        assert slots(_reduce_slots(field, consts, rows, m)) == best, (p, consts, rows)
+        symval = _reduce_slots(field, consts, _slot_moves(field, rows, m), m)
+        assert slots(symval) == best, (p, consts, rows)
 
 
 def test_int_kernel_spans_the_kernel_lattice():
@@ -163,3 +232,30 @@ def test_factor_matches_sympy():
     big = 10 ** 14 + 31
     assert _power_class_rep(ev.make_field("Q"), Fraction(2 * big), 2) == \
         (Fraction(2, big), Fraction(1, big))
+
+
+def test_plan_memo_holds_one_entry_per_target_shape():
+    # plans are keyed by the target's cell kinds and slot names only, so
+    # fresh parameters and other primes reuse them; the parameter memo is
+    # emptied before each classify, as in a fresh process, so that every
+    # member reaches the scaling solve
+    fams = [fam for dim in range(1, 7) for fam in ev.families_of_dim(dim) if fam.nparams]
+    shapes = {tuple(tuple("zero" if c == 0 else pn or "fixed" for c, pn in row)
+                    for row in fam.rows) for fam in fams}
+    assert _plan.cache_info().maxsize >= len(fams)
+    _plan.cache_clear()
+    sizes = []
+    for field in (_fp(7), _fp(13), ev.make_field("Q")):
+        rng = random.Random(f"plan_memo:{field.describe()}")
+        for fam in fams:
+            drawn = 0
+            while drawn < 20:
+                try:
+                    A = ev.catalog.instantiate(fam, field, _draw_params(field, fam, rng))
+                except ev.ParamConstraintViolated:
+                    continue
+                drawn += 1
+                _canon_cache.clear()
+                ev.classify(monomial_disguise(field, A, rng))
+        sizes.append(_plan.cache_info().currsize)
+    assert sizes[0] == sizes[1] == sizes[2] <= len(shapes), (sizes, len(shapes))
