@@ -27,15 +27,14 @@ from .catalog import (
 from .checks import (
     CheckReport,
     Witness,
-    annihilator,
     annihilator_chain,
     is_associative,
-    is_nil,
     is_power_associative,
     u_layer_square_dim,
 )
 from .core import (
     EvolutionAlgebra,
+    change_basis,
     is_zero_vector,
     mat_inverse,
     mat_mul,
@@ -79,32 +78,6 @@ def verify_isomorphism(A, B, M):
     return CheckReport(True)
 
 
-def change_basis(A, new_rows):
-    """Structure matrix of A in the natural basis given by ``new_rows``.
-
-    Rows are the new basis vectors in A's coordinates.  Raises if the rows
-    are dependent or the basis is not natural (some cross product survives).
-    """
-    field = A.field
-    n = A.n
-    if len(new_rows) != n:
-        raise InternalConsistency("basis has the wrong size")
-    if len(rref(field, new_rows)) != n:
-        raise InternalConsistency("proposed basis is singular")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero_vector(field, multiply(A, new_rows[i], new_rows[j])):
-                raise InternalConsistency("proposed basis is not natural")
-    rows = []
-    for i in range(n):
-        sq = multiply(A, new_rows[i], new_rows[i])
-        coords = solve_in_span(field, list(new_rows), sq)
-        if coords is None:
-            raise InternalConsistency("square escapes the proposed basis")
-        rows.append(tuple(coords))
-    return EvolutionAlgebra(field, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # connected nil components: outcome = ("final", label, basis_rows, flags)
 #                         or ("split", [part_rows, ...])
@@ -123,12 +96,15 @@ def _ratio(field, target, base):
 
 
 def _complete_in_units(field, vecs, unit_indices, n):
-    """Unit vectors extending span(vecs) to the span of the given units."""
+    """Unit vectors extending span(vecs) to the span of the given units.
+
+    ``vecs`` must be independent, so the rank of the growing basis is its length.
+    """
     basis = list(vecs)
     added = []
     for t in unit_indices:
         u = tuple(field.one if k == t else field.zero for k in range(n))
-        if len(rref(field, basis + [u])) > len(rref(field, basis)):
+        if len(rref(field, basis + [u])) > len(basis):
             basis.append(u)
             added.append(u)
     return added
@@ -608,13 +584,14 @@ def classify(A):
         raise InternalConsistency(
             f"classification self-check failed at {rep.witness.indices}")
 
+    # the first chain layer is exactly the zero rows; s = 0 means A is its
+    # own radical, which wedderburn has already checked to be nil
     chain = annihilator_chain(A)
-    _, ann_idx = annihilator(A)
     record = {
         "type_sequence": chain.type_sequence,
-        "dim_ann": len(ann_idx),
+        "dim_ann": len(chain.basis_layers[0]) if chain.basis_layers else 0,
         "associative": is_associative(A).verdict,
-        "dim_u_square": u_layer_square_dim(A) if is_nil(A).verdict else None,
+        "dim_u_square": u_layer_square_dim(A) if wd.s == 0 else None,
     }
     if wd.s == 0:
         radical_label = label

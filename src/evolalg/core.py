@@ -6,6 +6,11 @@ distinct basis vectors vanish.  Elements are coordinate tuples; subspaces
 are kept in reduced row-echelon form so that equality and membership are
 structural.
 
+Every exact solve runs one Gauss-Jordan elimination, ``_eliminate``:
+``rref`` keeps its pivot rows, ``solve_in_span`` reduces the augmented
+system, ``mat_inverse`` reduces [M | I], ``change_basis`` is one inverse
+and one product, and ``decomp.peirce`` reads its kernels off the pivots.
+
 Tuples are built as tuple([...]), not from a generator.  CPython grows a
 tuple built from a generator from ten slots and then shrinks it, and the
 shrunk tuple ends on the free list of its size, which such calls never
@@ -15,7 +20,7 @@ of 2,000 entries per size.
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, FieldMismatch, ShapeError
+from .errors import DimensionMismatch, FieldMismatch, InternalConsistency, ShapeError
 
 
 @dataclass(frozen=True)
@@ -123,35 +128,42 @@ def vec_add(field, u, v):
 # exact row-echelon subspaces
 
 
+def _eliminate(field, rows, ncols):
+    """Gauss-Jordan on ``rows`` (lists, changed in place); returns the pivot columns.
+
+    Pivots are taken only in the first ``ncols`` columns, so trailing
+    columns (a right-hand side, an identity block) ride along.  Afterwards
+    row r < len(pivots) has a 1 at pivots[r] and every other row a 0 there;
+    the rows past the pivots are zero in the first ``ncols`` columns.
+    """
+    is_zero, mul, sub, inv = field.is_zero, field.mul, field.sub, field.inv
+    piv_r = 0
+    pivots = []
+    for c in range(ncols):
+        if piv_r == len(rows):
+            break
+        pr = next((r for r in range(piv_r, len(rows)) if not is_zero(rows[r][c])), None)
+        if pr is None:
+            continue
+        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
+        f = inv(rows[piv_r][c])
+        prow = rows[piv_r] = [mul(f, v) for v in rows[piv_r]]
+        for r in range(len(rows)):
+            if r != piv_r and not is_zero(rows[r][c]):
+                f = rows[r][c]
+                rows[r] = [sub(a, mul(f, b)) for a, b in zip(rows[r], prow)]
+        pivots.append(c)
+        piv_r += 1
+    return pivots
+
+
 def rref(field, vectors):
     """Reduced row-echelon form of the span of ``vectors`` (list of rows)."""
     rows = [list(v) for v in vectors]
     if not rows:
         return []
-    ncols = len(rows[0])
-    is_zero, mul, sub, inv = field.is_zero, field.mul, field.sub, field.inv
-    piv_r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = None
-        for r in range(piv_r, len(rows)):
-            if not is_zero(rows[r][c]):
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        f = inv(rows[piv_r][c])
-        rows[piv_r] = [mul(f, v) for v in rows[piv_r]]
-        for r in range(len(rows)):
-            if r != piv_r and not is_zero(rows[r][c]):
-                f = rows[r][c]
-                rows[r] = [sub(a, mul(f, b)) for a, b in zip(rows[r], rows[piv_r])]
-        pivots.append(c)
-        piv_r += 1
-        if piv_r == len(rows):
-            break
-    return [tuple(rows[i]) for i in range(piv_r)]
+    pivots = _eliminate(field, rows, len(rows[0]))
+    return [tuple(row) for row in rows[:len(pivots)]]
 
 
 @dataclass(frozen=True)
@@ -199,37 +211,19 @@ def membership(U, x):
 def solve_in_span(field, basis_vectors, target):
     """Coefficients writing ``target`` over ``basis_vectors``, or None.
 
-    The basis vectors need not be independent; any exact solution is
-    returned (the one produced by Gaussian elimination).
+    The basis vectors need not be independent: a vector already in the
+    span of the ones before it gets coefficient 0, which makes the answer
+    unique.
     """
     m = len(basis_vectors)
-    if m == 0:
-        return [] if is_zero_vector(field, target) else None
-    ncols = len(target)
     # augmented system: columns are the basis vectors, rhs is the target
-    rows = [[basis_vectors[j][c] for j in range(m)] + [target[c]] for c in range(ncols)]
-    is_zero, mul, sub, inv = field.is_zero, field.mul, field.sub, field.inv
-    piv_r = 0
-    piv_cols = []
-    for c in range(m):
-        pr = next((r for r in range(piv_r, ncols) if not is_zero(rows[r][c])), None)
-        if pr is None:
-            continue
-        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        f = inv(rows[piv_r][c])
-        rows[piv_r] = [mul(f, v) for v in rows[piv_r]]
-        for r in range(ncols):
-            if r != piv_r and not is_zero(rows[r][c]):
-                f = rows[r][c]
-                rows[r] = [sub(a, mul(f, b)) for a, b in zip(rows[r], rows[piv_r])]
-        piv_cols.append(c)
-        piv_r += 1
-    for r in range(piv_r, ncols):
-        if not is_zero(rows[r][m]):
-            return None
+    rows = [[v[c] for v in basis_vectors] + [target[c]] for c in range(len(target))]
+    pivots = _eliminate(field, rows, m)
+    if any(not field.is_zero(row[m]) for row in rows[len(pivots):]):
+        return None
     coeffs = [field.zero] * m
-    for r, c in enumerate(piv_cols):
-        coeffs[c] = rows[r][m]
+    for row, c in zip(rows, pivots):
+        coeffs[c] = row[m]
     return coeffs
 
 
@@ -294,18 +288,31 @@ def mat_transpose(M):
 def mat_inverse(field, M):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(M)
-    is_zero, mul, sub, inv = field.is_zero, field.mul, field.sub, field.inv
     aug = [list(M[i]) + [field.one if j == i else field.zero for j in range(n)]
            for i in range(n)]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if not is_zero(aug[r][c])), None)
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        f = inv(aug[c][c])
-        aug[c] = [mul(f, v) for v in aug[c]]
-        for r in range(n):
-            if r != c and not is_zero(aug[r][c]):
-                f = aug[r][c]
-                aug[r] = [sub(a, mul(f, b)) for a, b in zip(aug[r], aug[c])]
+    if len(_eliminate(field, aug, n)) < n:
+        return None
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def change_basis(A, new_rows):
+    """Structure matrix of A in the natural basis given by ``new_rows``.
+
+    Rows are the new basis vectors in A's coordinates.  Raises if the rows
+    are dependent or the basis is not natural (some cross product survives).
+    With P the new basis as rows, the squares S satisfy S = C P, so the new
+    structure matrix is C = S P^-1.
+    """
+    field = A.field
+    n = A.n
+    if len(new_rows) != n:
+        raise InternalConsistency("basis has the wrong size")
+    inverse = mat_inverse(field, new_rows)
+    if inverse is None:
+        raise InternalConsistency("proposed basis is singular")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not is_zero_vector(field, multiply(A, new_rows[i], new_rows[j])):
+                raise InternalConsistency("proposed basis is not natural")
+    squares = [multiply(A, v, v) for v in new_rows]
+    return EvolutionAlgebra(field, mat_mul(field, squares, inverse))

@@ -9,14 +9,16 @@ the nil radical as a plain submatrix.
 
 from dataclasses import dataclass
 
-from .checks import is_nil, is_power_associative
+from .checks import annihilator, is_nil, is_power_associative
 from .core import (
     EvolutionAlgebra,
     Subspace,
+    _eliminate,
+    change_basis,
     is_zero_vector,
     multiply,
-    rref,
     subspace_from_vectors,
+    vec_scale,
 )
 from .errors import (
     DimensionMismatch,
@@ -59,17 +61,15 @@ def peirce(A, e):
     for lam in (field.one, half, field.zero):
         M = [[sub(L[r][c], lam if r == c else field.zero) for c in range(n)]
              for r in range(n)]
-        basis = rref(field, M)
+        pivots = _eliminate(field, M, n)
         # kernel via the standard free-column construction
-        pivots = []
-        for row in basis:
-            pivots.append(next(c for c, v in enumerate(row) if not field.is_zero(v)))
-        free = [c for c in range(n) if c not in pivots]
         kern = []
-        for fc in free:
+        for fc in range(n):
+            if fc in pivots:
+                continue
             v = [field.zero] * n
             v[fc] = field.one
-            for row, pc in zip(basis, pivots):
+            for row, pc in zip(M, pivots):
                 v[pc] = field.neg(row[fc])
             kern.append(tuple(v))
         spaces.append(subspace_from_vectors(field, n, kern))
@@ -77,6 +77,12 @@ def peirce(A, e):
     if E1.dim + Ehalf.dim + E0.dim != n:
         raise InternalConsistency("Peirce eigenspaces do not fill the space")
     return PeirceDecomposition(tuple(e), E1, Ehalf, E0)
+
+
+def _extension_idempotent(field, row, i):
+    """u_i = a_ii^-2 e_i^2, from the row e_i^2 with nonzero a_ii."""
+    a = row[i]
+    return vec_scale(field, field.inv(field.mul(a, a)), row)
 
 
 def extract_idempotent(A):
@@ -90,8 +96,7 @@ def extract_idempotent(A):
     for i in range(A.n):
         a = A.rows[i][i]
         if not field.is_zero(a):
-            c = field.inv(field.mul(a, a))
-            u = tuple(field.mul(c, v) for v in A.rows[i])
+            u = _extension_idempotent(field, A.rows[i], i)
             if multiply(A, u, u) != u:
                 raise InternalConsistency("extension idempotent fails u*u = u")
             return u, i
@@ -121,11 +126,7 @@ def wedderburn(A, _assume_pa=False):
     n = A.n
     idem_idx = [i for i in range(n) if not field.is_zero(A.rows[i][i])]
     rad_idx = [i for i in range(n) if field.is_zero(A.rows[i][i])]
-    idems = []
-    for i in idem_idx:
-        c = field.inv(field.mul(A.rows[i][i], A.rows[i][i]))
-        idems.append(tuple(field.mul(c, v) for v in A.rows[i]))
-    idems = tuple(idems)
+    idems = tuple([_extension_idempotent(field, A.rows[i], i) for i in idem_idx])
     for a in range(len(idems)):
         if multiply(A, idems[a], idems[a]) != idems[a]:
             raise InternalConsistency("extension vector is not idempotent")
@@ -139,8 +140,6 @@ def wedderburn(A, _assume_pa=False):
         rad_rows = tuple(tuple(A.rows[m][k] for k in rad_idx) for m in rad_idx)
     else:
         # rare rescaled-idempotent inputs: rebuild in the split basis
-        from .classify import change_basis
-
         B = change_basis(A, list(idems) + [A.unit(m) for m in rad_idx])
         s = len(idems)
         for r in range(n):
@@ -192,8 +191,6 @@ def graph_components(A):
 
 def decomposability_hint(A):
     """Annihilator-dimension bound: dim ann >= dim/2 (>= 1) forces a split."""
-    from .checks import annihilator
-
     _, idx = annihilator(A)
     if len(idx) >= 1 and 2 * len(idx) >= A.n:
         return "DecomposableByAnnBound"

@@ -15,6 +15,7 @@ from evolalg import (
     product_subspace,
     subspace_from_vectors,
 )
+from evolalg.classify import change_basis
 from evolalg.core import full_space
 
 from conftest import elements_of, naive_multiply
@@ -185,3 +186,225 @@ def test_membership(Q):
     assert not membership(ann, A.unit(0))
     with pytest.raises(ev.DimensionMismatch):
         membership(ann, (Q.zero,) * 3)
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra, checked against oracles that never call evolalg.core:
+# plain ints mod 7 (Laplace determinants, brute force over F_7^m) and sympy
+
+
+def _det7(M):
+    """Laplace expansion along the first row, in plain ints mod 7."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det7([r[:j] + r[j + 1:] for r in M[1:]])
+               for j in range(len(M))) % 7
+
+
+def _combos7(vecs, k):
+    """Every vector of span(vecs) in F_7^k, with all coefficient tuples reaching it."""
+    out = {}
+    for c in itertools.product(range(7), repeat=len(vecs)):
+        v = tuple(sum(a * w[i] for a, w in zip(c, vecs)) % 7 for i in range(k))
+        out.setdefault(v, []).append(c)
+    return out
+
+
+def _random_vecs(rng, m, k, pool):
+    return [tuple(rng.choice(pool) for _ in range(k)) for _ in range(m)]
+
+
+def _square7(A, x):
+    """x^2 = sum_i x_i^2 e_i^2, in plain ints mod 7."""
+    return tuple(sum(x[i] * x[i] * A.rows[i][k] for i in range(A.n)) % 7
+                 for k in range(A.n))
+
+
+def _natural_basis(field, A, rng, pool):
+    """Permuted, scaled units plus arbitrary multiples of annihilator units.
+
+    Distinct rows share no index with a nonzero square, so every cross
+    product vanishes; the rows may still be dependent.
+    """
+    n = A.n
+    ann = [i for i in range(n) if all(field.is_zero(a) for a in A.rows[i])]
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    rows = []
+    for i in range(n):
+        v = [field.zero] * n
+        v[sigma[i]] = field.coerce(rng.choice([c for c in pool if c != 0]))
+        for k in ann:
+            if k != sigma[i]:
+                v[k] = field.coerce(rng.choice(pool))
+        rows.append(tuple(v))
+    return rows
+
+
+def test_rref_rank_and_span_fp(F7):
+    rng = random.Random(21)
+    for _ in range(300):
+        m, k = rng.randint(1, 3), rng.randint(1, 4)
+        vecs = _random_vecs(rng, m, k, [0, 0, 1, 2, 3, 6])
+        span = _combos7(vecs, k)
+        R = ev.core.rref(F7, vecs)
+        assert 7 ** len(R) == len(span)
+        assert set(_combos7(R, k)) == set(span)
+        for r, row in enumerate(R):
+            piv = next(c for c, v in enumerate(row) if v)
+            assert row[piv] == 1
+            assert all(R[s][piv] == 0 for s in range(len(R)) if s != r)
+
+
+def test_solve_in_span_fp_brute_force(F7):
+    rng = random.Random(22)
+    for _ in range(300):
+        m, k = rng.randint(1, 3), rng.randint(1, 4)
+        vecs = _random_vecs(rng, m, k, [0, 0, 1, 2, 5])
+        target = tuple(rng.choice([0, 1, 3, 4]) for _ in range(k))
+        if rng.random() < 0.5:
+            # a target in the span, reached through a random combination
+            c = [rng.randrange(7) for _ in range(m)]
+            target = tuple(sum(a * w[i] for a, w in zip(c, vecs)) % 7
+                           for i in range(k))
+        got = ev.core.solve_in_span(F7, vecs, target)
+        sols = _combos7(vecs, k).get(target)
+        if sols is None:
+            assert got is None
+            continue
+        # vectors already in the span of the earlier ones get coefficient 0
+        redundant = [j for j in range(m) if vecs[j] in _combos7(vecs[:j], k)]
+        expected = [c for c in sols if all(c[j] == 0 for j in redundant)]
+        assert len(expected) == 1
+        assert tuple(got) == expected[0]
+
+
+def test_solve_in_span_edge_cases(Q, F7):
+    # inconsistent system
+    assert ev.core.solve_in_span(F7, [(1, 0, 0), (0, 1, 0)], (0, 0, 1)) is None
+    # dependent spanning set: only the first vector of each new direction counts
+    vecs = [(1, 2, 0), (2, 4, 0), (0, 0, 1), (1, 2, 1)]
+    assert tuple(ev.core.solve_in_span(F7, vecs, (3, 6, 1))) == (3, 0, 1, 0)
+    vq = [tuple(Q.coerce(c) for c in v) for v in vecs]
+    got = ev.core.solve_in_span(Q, vq, (Q.coerce(3), Q.coerce(6), Q.coerce(1)))
+    assert tuple(got) == (3, 0, 1, 0)
+    # an empty spanning set reaches only zero
+    assert ev.core.solve_in_span(F7, [], (0, 0)) == []
+    assert ev.core.solve_in_span(F7, [], (0, 1)) is None
+
+
+def test_mat_inverse_fp_against_laplace(F7):
+    rng = random.Random(23)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        M = [[rng.choice([0, 0, 1, 2, 3, 6]) for _ in range(n)] for _ in range(n)]
+        inv = ev.core.mat_inverse(F7, M)
+        if _det7(M) == 0:
+            assert inv is None
+            singular += 1
+            continue
+        assert all(sum(M[i][t] * inv[t][j] for t in range(n)) % 7 == (i == j)
+                   for i in range(n) for j in range(n))
+    assert singular > 20
+    assert ev.core.mat_inverse(F7, [[1, 2], [2, 4]]) is None
+
+
+def test_change_basis_fp_against_plain_ints(F7):
+    rng = random.Random(24)
+    changed = singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        A = new_evolution_algebra(F7, [[rng.choice([0, 0, 0, 1, 3, 5]) for _ in range(n)]
+                                       for _ in range(n)])
+        P = _natural_basis(F7, A, rng, [0, 1, 2, 4])
+        if _det7([list(r) for r in P]) == 0:
+            with pytest.raises(ev.InternalConsistency):
+                change_basis(A, P)
+            singular += 1
+            continue
+        C = change_basis(A, P)
+        # row i holds the coordinates of f_i^2 over the new basis
+        for i in range(n):
+            assert tuple(sum(C.rows[i][j] * P[j][k] for j in range(n)) % 7
+                         for k in range(n)) == _square7(A, P[i])
+        changed += 1
+    assert changed > 100 and singular > 0
+    # dependent rows are refused, and so is a basis that is not natural
+    A = new_evolution_algebra(F7, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ev.InternalConsistency):
+        change_basis(A, [(1, 0, 0), (0, 1, 0), (0, 3, 0)])
+    with pytest.raises(ev.InternalConsistency):
+        change_basis(A, [(1, 1, 0), (1, 0, 0), (0, 0, 1)])
+
+
+def _sym(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r]
+                         for r in rows])
+
+
+Q_POOL = [0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
+
+
+def test_linear_algebra_q_against_sympy(Q):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(25)
+    for _ in range(200):
+        m, k = rng.randint(1, 4), rng.randint(1, 4)
+        vecs = [tuple(Q.coerce(c) for c in v) for v in _random_vecs(rng, m, k, Q_POOL)]
+        target = tuple(Q.coerce(rng.choice(Q_POOL)) for _ in range(k))
+        if rng.random() < 0.5:
+            c = [Q.coerce(rng.choice(Q_POOL)) for _ in range(m)]
+            target = tuple(sum((a * w[i] for a, w in zip(c, vecs)), Fraction(0))
+                           for i in range(k))
+        V = _sym(sympy, vecs).T           # columns are the spanning vectors
+        b = _sym(sympy, [target]).T
+        R = ev.core.rref(Q, vecs)
+        assert len(R) == V.rank()
+        if R:
+            assert _sym(sympy, R) == V.T.rref()[0][:len(R), :]
+        got = ev.core.solve_in_span(Q, vecs, target)
+        if V.row_join(b).rank() > V.rank():
+            assert got is None
+            continue
+        piv = [j for j in range(m) if V[:, :j + 1].rank() > V[:, :j].rank()]
+        W = V[:, piv]
+        x = (W.T * W).inv() * W.T * b
+        expected = [0] * m
+        for j, xj in zip(piv, x):
+            expected[j] = xj
+        assert [sympy.Rational(c.numerator, c.denominator) for c in got] == expected
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        M = [tuple(Q.coerce(rng.choice(Q_POOL)) for _ in range(n)) for _ in range(n)]
+        S = _sym(sympy, M)
+        inv = ev.core.mat_inverse(Q, M)
+        if S.det() == 0:
+            assert inv is None
+        else:
+            assert _sym(sympy, inv) == S.inv()
+
+
+def test_change_basis_q_against_sympy(Q):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(26)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        A = new_evolution_algebra(Q, [[rng.choice(Q_POOL) for _ in range(n)]
+                                      for _ in range(n)])
+        P = _natural_basis(Q, A, rng, Q_POOL)
+        SP = _sym(sympy, P)
+        if SP.det() == 0:
+            with pytest.raises(ev.InternalConsistency):
+                change_basis(A, P)
+            continue
+        squares = _sym(sympy, [naive_multiply(A, f, f) for f in P])
+        assert _sym(sympy, change_basis(A, P).rows) == squares * SP.inv()
+    # N_{4,5}(2,2) -> N_{4,5}(1,1) through f2, f3 = (e2 +- e3)/2
+    half = Fraction(1, 2)
+    A = new_evolution_algebra(Q, [[0, 1, 2, 2], [0, 0, 0, 1], [0, 0, 0, 1], [0] * 4])
+    P = [tuple(Q.coerce(c) for c in r) for r in
+         ((1, 0, 0, 0), (0, half, half, 0), (0, half, -half, 0), (0, 0, 0, 1))]
+    C = change_basis(A, P)
+    squares = _sym(sympy, [naive_multiply(A, f, f) for f in P])
+    assert _sym(sympy, C.rows) == squares * _sym(sympy, P).inv()
