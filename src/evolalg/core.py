@@ -194,18 +194,10 @@ def subspace_from_vectors(field, ambient, vectors):
 
 
 def membership(U, x):
-    """True iff x lies in span(U), by reduction against the RREF basis."""
+    """True iff x lies in span(U)."""
     if len(x) != U.ambient:
         raise DimensionMismatch(f"element of length {len(x)} against ambient {U.ambient}")
-    field = U.field
-    is_zero, sub, mul = field.is_zero, field.sub, field.mul
-    rem = list(x)
-    for row in U.basis:
-        piv = next(c for c, v in enumerate(row) if not is_zero(v))
-        f = rem[piv]
-        if not is_zero(f):
-            rem = [sub(a, mul(f, b)) for a, b in zip(rem, row)]
-    return all(is_zero(c) for c in rem)
+    return solve_in_span(U.field, U.basis, x) is not None
 
 
 def solve_in_span(field, basis_vectors, target):

@@ -102,12 +102,13 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        return 1 / a
+        return self.one / a
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0")
-        return a / b
+        # int / int would leave exact arithmetic for a float
+        return (Fraction(a) if isinstance(a, int) else a) / b
 
     def is_zero(self, a):
         return a == 0

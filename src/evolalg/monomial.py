@@ -29,12 +29,13 @@ first (exact rational roots over Q; Tonelli-Shanks /
 Adleman-Manders-Miller over F_p).  On each branch the parameter slots are
 reduced in order, each to the least representative of its orbit under
 the free moves that keep the earlier slots fixed; the moves depend on the
-exponent rows and the field only (``_slot_moves``, once per call).  Over
-Q they form the integer kernel of the earlier exponent rows and the
-representative is the height-minimal member of a power class.  Over F_p
-they are exponent vectors modulo p - 1, so torsion such as t -> -t
-counts, and the representative is the least element of a coset of the
-g-th powers, a subgroup of index gcd(g, p - 1).
+exponent rows and the field only (``_slot_moves``, once per call).  One
+lattice routine, ``_split_moves``, finds them for both fields: over Q
+they are integer exponent vectors, the kernel of the earlier exponent
+rows over Z, and the representative is the height-minimal member of a
+power class.  Over F_p they are exponent vectors modulo p - 1, so torsion
+such as t -> -t counts, and the representative is the least element of a
+coset of the g-th powers, a subgroup of index gcd(g, p - 1).
 
 The work therefore does not grow with p or with the height of the
 scalings, and the symbolic part is paid once per shape.
@@ -215,84 +216,44 @@ def _power_class_rep(field, fr, g):
     return rep, t
 
 
-def _int_kernel(rows, ncols):
-    """Basis of the lattice of integer y with row.y = 0 for every row.
-
-    Unimodular column operations keep the basis a basis of the kernel
-    lattice of the rows seen so far: per row, Euclid on the values row.y
-    leaves one vector with the gcd as its value and the rest with 0, and
-    that one is dropped.  The result spans the whole kernel lattice, not
-    only a sublattice of finite index.
-    """
-    basis = [[1 if c == k else 0 for c in range(ncols)] for k in range(ncols)]
-    for row in rows:
-        vals = [sum(r * b for r, b in zip(row, base)) for base in basis]
-        live = [k for k, v in enumerate(vals) if v]
-        while len(live) > 1:
-            p = min(live, key=lambda k: abs(vals[k]))
-            for k in live:
-                if k != p:
-                    q = vals[k] // vals[p]
-                    vals[k] -= q * vals[p]
-                    basis[k] = [a - q * b for a, b in zip(basis[k], basis[p])]
-            live = [k for k in live if vals[k]]
-        basis = [base for base, v in zip(basis, vals) if v == 0]
-    return basis
-
-
-def _gcd_combo(row, kernel_basis):
-    """(g, y) with y an integer kernel combination and row.y = g = gcd > 0."""
-    g, y = 0, None
-    for base in kernel_basis:
-        d = sum(r * b for r, b in zip(row, base))
-        if d == 0:
-            continue
-        if d < 0:
-            base = [-b for b in base]
-            d = -d
-        if y is None:
-            g, y = d, list(base)
-            continue
-        # extended gcd to combine the two directions
-        a0, a1 = g, d
-        x0, x1 = 1, 0
-        while a1:
-            q = a0 // a1
-            a0, a1 = a1, a0 - q * a1
-            x0, x1 = x1, x0 - q * x1
-        # a0 = gcd, a0 = x0*g + k*d for the matching k
-        k = (a0 - x0 * g) // d
-        y = [x0 * yy + k * bb for yy, bb in zip(y, base)]
-        g = a0
-    return g, y
-
-
 def _split_moves(moves, row, N):
-    """Split a group of exponent moves mod N along one slot's exponent row.
+    """Split a group of exponent moves along one slot's exponent row, over
+    the integers (N == 0) or modulo N = p - 1.
 
-    Returns (d, y, stabilizer): the slot's reachable factors are the d-th
-    powers, with row.y = d mod N, and ``stabilizer`` generates the moves
-    that fix the slot.  d == N means the slot cannot move.
+    This is the one exponent-lattice routine: extended Euclid on the values
+    row.gen, carrying the move vectors along, is a unimodular change of the
+    generators that leaves one pivot with the gcd as its value and the rest
+    with 0.  Returns (d, y, stabilizer): the slot's reachable factors are
+    the d-th powers, with row.y = d > 0 (mod N), and ``stabilizer``
+    generates the moves that fix the slot; over Z, when ``moves`` is a
+    basis, it is a basis of the whole kernel in their lattice, not only of
+    a sublattice of finite index.  Modulo
+    N, (N / d) times the pivot also fixes the slot: torsion such as
+    t -> -t.  d == N means the slot cannot move.
     """
+    def red(x):
+        return x % N if N else x
+
     kernel, pivot, pv = [], None, 0
     for gen in moves:
-        v = sum(r * x for r, x in zip(row, gen)) % N
+        v = red(sum(r * x for r, x in zip(row, gen)))
         if v == 0:
             kernel.append(gen)
             continue
         if pivot is None:
             pivot, pv = gen, v
             continue
-        # extended Euclid on the values, carrying the move vectors along
         a0, a1, x0, x1 = pv, v, pivot, gen
         while a1:
             q = a0 // a1
             a0, a1 = a1, a0 - q * a1
-            x0, x1 = x1, [(u - q * w) % N for u, w in zip(x0, x1)]
+            x0, x1 = x1, [red(u - q * w) for u, w in zip(x0, x1)]
         kernel.append(x1)
         pivot, pv = x0, a0
     if pivot is None:
         return N, None, kernel
+    if not N:
+        return abs(pv), [x if pv > 0 else -x for x in pivot], kernel
     d = gcd(pv, N)
     scale = pow(pv // d, -1, N // d)
     kernel.append([(N // d) * x % N for x in pivot])
@@ -302,20 +263,17 @@ def _split_moves(moves, row, N):
 def _slot_moves(field, rows, m):
     """Per slot row, the free moves that reduce it, given that the earlier
     slots stay fixed: (row, g, y) means the slot's reachable factors are
-    the g-th powers t^g, reached by multiplying the m symbols by t^y.  g is
-    None where the slot is left as it is: it cannot move, or, over Q, g is
-    odd.  Depends on the rows and the field only."""
-    out = []
-    if field.kind == "rationals":
-        for k, row in enumerate(rows):
-            g, y = _gcd_combo(row, _int_kernel(rows[:k], m))
-            out.append((row, g, y) if g and g % 2 == 0 else (row, None, None))
-        return out
-    N = field.p - 1
+    the g-th powers t^g, reached by multiplying the m symbols by t^y.  One
+    loop over ``_split_moves`` for both fields, over Z for Q and over
+    Z/(p - 1) for F_p.  g is None where the slot is left as it is: it
+    cannot move, or, over Q, g is odd.  Depends on the rows and the field
+    only."""
+    N = field.p - 1 if field.kind == "prime" else 0
     moves = [[1 if c == k else 0 for c in range(m)] for k in range(m)]
+    out = []
     for row in rows:
         d, y, moves = _split_moves(moves, row, N)
-        out.append((row, None, None) if d == N else (row, d, y))
+        out.append((row, None, None) if d == N or (not N and d % 2) else (row, d, y))
     return out
 
 

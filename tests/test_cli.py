@@ -1,3 +1,4 @@
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -184,3 +185,48 @@ def test_main_random_and_classify_pipeline(tmp_path):
     assert "classify verified true" in text
     label_line = next(l for l in text.splitlines() if l.startswith("classify label"))
     assert label_line.split()[-1].startswith("N_{4,")
+
+
+def _run_main(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def cli_transcript_lines():
+    """Digests of CLI reports on seeded ``evolalg random`` files, run in the
+    current directory: per file, the classify report together with its
+    --iso-out matrix file, and the decompose report."""
+    lines = []
+    for field in ("Fp:7", "Fp:13", "Fp:101", "Q"):
+        for dim in range(1, 7):
+            for mode in ("pa_mixed", "nil_pa"):
+                for seed in range(1, 11):
+                    _run_main(["random", "--field", field, "--dim", str(dim),
+                               "--seed", str(seed), "--mode", mode, "--out", "a.alg"])
+                    report = _run_main(["classify", "a.alg", "--iso-out", "iso.mat"])
+                    with open("iso.mat", encoding="utf-8") as fh:
+                        iso = fh.read()
+                    label = next(line.split()[-1] for line in report.splitlines()
+                                 if line.startswith("classify label"))
+                    lines.append(" ".join((
+                        field, f"dim {dim}", mode, f"seed {seed}", label,
+                        "classify", _digest(report + iso),
+                        "decompose", _digest(_run_main(["decompose", "a.alg"])))))
+    return lines
+
+
+def test_cli_transcripts_match_golden(tmp_path, monkeypatch):
+    # written by cli_transcript_lines(); a differing line is a change of
+    # CLI output to explain, not a file to regenerate
+    monkeypatch.chdir(tmp_path)
+    want = (GOLDEN / "cli_transcripts.txt").read_text(encoding="utf-8").splitlines()
+    got = cli_transcript_lines()
+    assert len(got) == len(want)
+    diff = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not diff, diff[:5]

@@ -38,6 +38,18 @@ def test_rational_arith(Q):
         scalar_arith(Q, "inv", Q.zero)
 
 
+def test_rational_inverse_and_quotient_stay_exact_on_ints(Q):
+    # plain ints must not fall through to float division
+    for got, want in [(Q.inv(2), Fraction(1, 2)), (Q.div(1, 2), Fraction(1, 2)),
+                      (scalar_arith(Q, "div", 1, 2), Fraction(1, 2)),
+                      (scalar_arith(Q, "inv", -3), Fraction(-1, 3)),
+                      (Q.div(3, Fraction(1, 2)), Fraction(6))]:
+        assert type(got) is Fraction and got == want, (got, want)
+    inv = ev.core.mat_inverse(Q, ((2, 0), (0, 3)))
+    assert inv == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+    assert all(type(v) is Fraction for row in inv for v in row), inv
+
+
 def test_prime_inverse_checked_directly(F7):
     # the inverse of 3 must multiply back to 1
     inv3 = scalar_arith(F7, "inv", 3)

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -14,13 +14,12 @@ from evolalg.classify import _canon_cache, _canonical_orbit_rep
 from evolalg.core import rref, solve_in_span
 from evolalg.monomial import (
     _factor,
-    _gcd_combo,
-    _int_kernel,
     _plan,
     _power_class_rep,
     _reduce_slots,
     _roots,
     _slot_moves,
+    _split_moves,
     monomial_solutions,
     pattern_cells,
 )
@@ -177,17 +176,52 @@ def test_fp_slot_reduction_is_the_orbit_minimum():
         assert slots(symval) == best, (p, consts, rows)
 
 
-def test_int_kernel_spans_the_kernel_lattice():
+def test_q_slot_moves_reach_the_gcd_of_the_kernel():
+    # over Q slot k moves by t^(row_k . y) for integer y in the kernel of
+    # rows[:k]; g must be the gcd of all such values (found here by a box
+    # search), and an odd g or a slot that cannot move is left alone
+    Q = ev.make_field("Q")
+    rng = random.Random(23)
+    cases = [[[2, 1, 1], [0, 1, 0]], [[-2, 2, 0], [-4, 0, 2]], [[0, -2, 2], [-2, 0, 2]]]
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        cases.append([[rng.randint(-2, 2) for _ in range(m)]
+                      for _ in range(rng.randint(1, 3))])
+    for rows in cases:
+        m = len(rows[0])
+        box = list(itertools.product(range(-8, 9), repeat=m))
+        moves = _slot_moves(Q, rows, m)
+        for k, (row, (row_out, g, y)) in enumerate(zip(rows, moves)):
+            assert row_out == row
+            want = 0
+            for z in box:
+                if not any(sum(r * v for r, v in zip(prev, z)) for prev in rows[:k]):
+                    want = gcd(want, sum(r * v for r, v in zip(row, z)))
+            if want == 0 or want % 2:
+                assert (g, y) == (None, None), (rows, k, want, g)
+                continue
+            assert g == want, (rows, k, want, g)
+            assert sum(r * v for r, v in zip(row, y)) == g, (rows, k, y)
+            assert not any(sum(r * v for r, v in zip(prev, y)) for prev in rows[:k])
+
+
+def test_split_moves_over_z_spans_the_kernel_lattice():
+    def stabilizer(rows, m):
+        moves = [[1 if c == k else 0 for c in range(m)] for k in range(m)]
+        for row in rows:
+            moves = _split_moves(moves, row, 0)[2]
+        return moves
+
     # (0,1,-1) is in the kernel of (2,1,1), so the middle slot's exponent
     # can move by 1; a sublattice basis such as (-1,2,0), (-1,0,2) only
     # reaches even moves there
-    assert _gcd_combo([0, 1, 0], _int_kernel([[2, 1, 1]], 3))[0] == 1
+    assert _split_moves(stabilizer([[2, 1, 1]], 3), [0, 1, 0], 0)[0] == 1
     Q = ev.make_field("Q")
     rng = random.Random(17)
     for _ in range(100):
         m = rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, 3))]
-        basis = _int_kernel(rows, m)
+        basis = stabilizer(rows, m)
         assert len(rref(Q, basis)) == len(basis) == m - len(rref(Q, rows)), rows
         for y in itertools.product(range(-2, 3), repeat=m):
             if any(sum(r * v for r, v in zip(row, y)) for row in rows):
