@@ -29,11 +29,9 @@ from .checks import (
     Witness,
     annihilator_chain,
     is_associative,
-    is_power_associative,
     u_layer_square_dim,
 )
 from .core import (
-    EvolutionAlgebra,
     change_basis,
     is_zero_vector,
     mat_inverse,
@@ -51,7 +49,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     InternalConsistency,
-    NotPowerAssociative,
 )
 from .monomial import monomial_solutions, monomial_witness, pattern_cells
 
@@ -88,11 +85,11 @@ def _assert(cond, msg):
         raise InternalConsistency(msg)
 
 
-def _ratio(field, target, base):
-    """Scalar r with target = r * base, for a nonzero base vector."""
-    coords = solve_in_span(field, [base], target)
-    _assert(coords is not None, "expected proportional vectors")
-    return coords[0]
+def _coords(field, spanning, target):
+    """Coordinates of target over independent vectors that span it."""
+    coords = solve_in_span(field, spanning, target)
+    _assert(coords is not None, "coordinates missing in the constructed frame")
+    return coords
 
 
 def _complete_in_units(field, vecs, unit_indices, n):
@@ -130,7 +127,7 @@ def _assoc_outcomes(B):
 
     if w == 1:
         base = rows[I[0]]
-        params = tuple(_ratio(field, rows[i], base) for i in I[1:])
+        params = tuple(_coords(field, [base], rows[i])[0] for i in I[1:])
         index = {1: 2, 2: 3, 3: 5, 4: 8, 5: 16}[len(I)]
         basis = [unit(i) for i in I] + [base]
         return [("final", make_label(n, index, params), basis, ())]
@@ -156,9 +153,7 @@ def _assoc_outcomes(B):
             p, q = grp_a[0], grp_b[0]
             rest = [i for i in I if i not in (p, q)]
             for r in rest:
-                coords = solve_in_span(field, [rows[p], rows[q]], rows[r])
-                _assert(coords is not None, "square outside the annihilator plane")
-                al, be = coords
+                al, be = _coords(field, [rows[p], rows[q]], rows[r])
                 if field.is_zero(al) or field.is_zero(be):
                     continue
                 if n == 5:
@@ -166,7 +161,7 @@ def _assoc_outcomes(B):
                     outcomes.append(("final", make_label(5, 9, (al, be)), basis, ()))
                     continue
                 s2 = next(i for i in rest if i != r)
-                ga, de = solve_in_span(field, [rows[p], rows[q]], rows[s2])
+                ga, de = _coords(field, [rows[p], rows[q]], rows[s2])
                 det = field.sub(field.mul(al, de), field.mul(be, ga))
                 if not field.is_zero(ga) and not field.is_zero(de) \
                         and not field.is_zero(det):
@@ -243,18 +238,13 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
     v2sq = sq[0]
     _assert(not is_zero_vector(field, v2sq), "v2 squared vanished")
 
-    def coords_over(spanning, target):
-        c = solve_in_span(field, spanning, target)
-        _assert(c is not None, "coordinates missing in the constructed frame")
-        return c
-
     if (n, a, k) == (4, 1, 2):
         _assert(sq[1] == tuple(field.neg(c) for c in v2sq), "v3^2 != -v2^2")
         return [("final", make_label(4, 6, ()), [unit(i0), vs[0], vs[1], v2sq], ())]
 
     if (n, a, k) == (5, 1, 2):
         x = extras[0]
-        c2, c3, c5 = coords_over([vs[0], vs[1], v2sq], rows[x])
+        c2, c3, c5 = _coords(field, [vs[0], vs[1], v2sq], rows[x])
         _assert(c2 == c3, "unequal v2/v3 coordinates on the free square")
         basis = [unit(i0), vs[0], vs[1], unit(x), v2sq]
         if field.is_zero(c2):
@@ -264,7 +254,7 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
         return [("final", make_label(5, 12, (c2, c5)), basis, ())]
 
     if (n, a, k) == (5, 1, 3):
-        al = _ratio(field, sq[1], v2sq)
+        al = _coords(field, [v2sq], sq[1])[0]
         _assert(not field.is_zero(al), "degenerate v3 square")
         onepal = field.add(one, al)
         _assert(not field.is_zero(onepal), "1 + alpha vanished with a live v4")
@@ -283,9 +273,9 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
     if (n, a, k) == (6, 1, 2):
         x, y = extras
         _assert(sq[1] == tuple(field.neg(c) for c in v2sq), "v3^2 != -v2^2")
-        c2, c3, cy, c6 = coords_over([vs[0], vs[1], unit(y), v2sq], rows[x])
+        c2, c3, cy, c6 = _coords(field, [vs[0], vs[1], unit(y), v2sq], rows[x])
         _assert(c2 == c3 and field.is_zero(cy), "free square fails the PA relations")
-        d2, d3, dx, d6 = coords_over([vs[0], vs[1], unit(x), v2sq], rows[y])
+        d2, d3, dx, d6 = _coords(field, [vs[0], vs[1], unit(x), v2sq], rows[y])
         _assert(d2 == d3 and field.is_zero(dx), "free square fails the PA relations")
         c4, e4, c5, e5 = c2, c6, d2, d6
         basis = [unit(i0), vs[0], vs[1], unit(x), unit(y), v2sq]
@@ -323,12 +313,12 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
 
     if (n, a, k) == (6, 1, 3):
         z = extras[0]
-        al = _ratio(field, sq[1], v2sq)
+        al = _coords(field, [v2sq], sq[1])[0]
         _assert(not field.is_zero(al), "degenerate v3 square")
         onepal = field.add(one, al)
         _assert(not field.is_zero(onepal), "1 + alpha vanished with a live v4")
         _assert(sq[2] == vec_scale(field, field.neg(onepal), v2sq), "v4^2 mismatch")
-        c2, c3, c4, c6 = coords_over([vs[0], vs[1], vs[2], v2sq], rows[z])
+        c2, c3, c4, c6 = _coords(field, [vs[0], vs[1], vs[2], v2sq], rows[z])
         _assert(c2 == c3 == c4, "free square fails the PA relations")
         w3 = vec_add(field, vs[1], vs[2])
         w5 = vec_add(field, vs[1], vec_scale(field, field.div(al, onepal), vs[2]))
@@ -342,8 +332,8 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
         return [("final", make_label(6, 21, (c2, c6, tail)), basis, flags)]
 
     if (n, a, k) == (6, 1, 4):
-        al = _ratio(field, sq[1], v2sq)
-        be = _ratio(field, sq[2], v2sq)
+        al = _coords(field, [v2sq], sq[1])[0]
+        be = _coords(field, [v2sq], sq[2])[0]
         _assert(not field.is_zero(al) and not field.is_zero(be), "degenerate squares")
         tot = field.add(field.add(one, al), be)
         _assert(not field.is_zero(tot), "1 + alpha + beta vanished with a live v5")
@@ -364,8 +354,8 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
             x = vec_add(field, vec_add(field, vs[1], vs[2]),
                         vec_scale(field, two, vs[3]))
             y = vec_add(field, vec_scale(field, field.neg(one), vs[1]), vs[2])
-        alp = _ratio(field, multiply(B, x, x), v2sq)
-        bep = _ratio(field, multiply(B, y, y), v2sq)
+        alp = _coords(field, [v2sq], multiply(B, x, x))[0]
+        bep = _coords(field, [v2sq], multiply(B, y, y))[0]
         _assert(not field.is_zero(alp) and not field.is_zero(bep),
                 "orthogonalized vectors with zero square")
         w3 = vec_add(field, vec_add(field, vs[1], vs[2]), vs[3])
@@ -376,7 +366,7 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
         z = extras[0]
         _assert(sq[1] == tuple(field.neg(c) for c in v2sq), "v3^2 != -v2^2")
         units_ann = [unit(t) for t in ann]
-        c2, c3, t0, t1 = coords_over([vs[0], vs[1]] + units_ann, rows[z])
+        c2, c3, t0, t1 = _coords(field, [vs[0], vs[1]] + units_ann, rows[z])
         _assert(c2 == c3, "free square fails the PA relations")
         t = vec_add(field, vec_scale(field, t0, units_ann[0]),
                     vec_scale(field, t1, units_ann[1]))
@@ -395,7 +385,7 @@ def _nonassoc_case(B, i0, perm, Ja, extras, ann):
             _assert(sq[2] == tuple(field.neg(c) for c in target), "v4^2 mismatch")
             basis = [unit(i0), vs[0], vs[1], vs[2], v2sq, sq[1]]
             return [("final", make_label(6, 26, ()), basis, ())]
-        al = _ratio(field, sq[1], v2sq)
+        al = _coords(field, [v2sq], sq[1])[0]
         _assert(not field.is_zero(al), "degenerate v3 square")
         onepal = field.add(one, al)
         _assert(not field.is_zero(onepal), "1 + alpha vanished with a live v4")
@@ -514,22 +504,14 @@ def _classify_connected(B):
         parts = splits[0][1]
         new_rows = [tuple(v) for part in parts for v in part]
         Bn = change_basis(B, new_rows)
-        results = []
-        off = 0
-        for part in parts:
-            m = len(part)
-            for i in range(off, off + m):
-                for j in range(Bn.n):
-                    if not (off <= j < off + m) and not field.is_zero(Bn.rows[i][j]):
-                        raise InternalConsistency("split parts are not ideals")
-            sub = EvolutionAlgebra(field, tuple(
-                tuple(Bn.rows[i][j] for j in range(off, off + m))
-                for i in range(off, off + m)))
-            for label, rows_sub, flags in _nil_indecomposables(sub):
-                lifted = mat_mul(field, rows_sub, part)
-                results.append((label, lifted, flags))
-            off += m
-        return results
+        block = [k for k, part in enumerate(parts) for _ in part]
+        # a part that is not an ideal would come back as one component and
+        # recurse forever
+        _assert(all(block[i] == block[j] or field.is_zero(Bn.rows[i][j])
+                    for i in range(Bn.n) for j in range(Bn.n)),
+                "split parts are not ideals")
+        return [(label, mat_mul(field, rows, new_rows), flags)
+                for label, rows, flags in _nil_indecomposables(Bn)]
     label, basis, flags = _canonicalize_final(B, outcomes)
     return [(label, basis, flags)]
 
@@ -545,16 +527,16 @@ class ClassificationResult:
 
 
 def classify(A):
-    """Catalog label, canonical parameters and a verified isomorphism."""
+    """Catalog label, canonical parameters and a verified isomorphism.
+
+    Raises DimensionTooLarge above dimension 6; on input that is not
+    power-associative, ``wedderburn`` raises NotPowerAssociative with the
+    check's witness.
+    """
     if A.n > 6:
         raise DimensionTooLarge("the classification stops at dimension 6")
-    pa = is_power_associative(A)
-    if not pa.verdict:
-        raise NotPowerAssociative(
-            f"input is not power-associative (condition {pa.witness.condition} "
-            f"at {pa.witness.indices})", witness=pa.witness)
     field = A.field
-    wd = wedderburn(A, _assume_pa=True)
+    wd = wedderburn(A)
     R = wd.radical
     comps = _nil_indecomposables(R) if R.n else []
     comps.sort(key=lambda item: (-item[0].dim, item[0].index,
@@ -563,18 +545,14 @@ def classify(A):
 
     comp_keys = [(lbl.dim, lbl.index) for lbl, _, _ in comps]
     params = tuple(p for lbl, _, _ in comps for p in lbl.params)
-    if wd.s == 0:
-        index = nil_index_for_components(A.n, comp_keys)
-        radical_index = index
-    else:
-        radical_index = nil_index_for_components(R.n, comp_keys) if R.n else None
-        index = mixed_index_for(A.n, wd.s, radical_index)
+    # s = 0 means A is its own radical
+    radical_index = nil_index_for_components(R.n, comp_keys) if R.n else None
+    index = radical_index if wd.s == 0 else mixed_index_for(A.n, wd.s, radical_index)
     label = make_label(A.n, index, params)
 
-    rad_units = wd.basis_change[wd.s:]
     basis_rows = list(wd.idempotents)
     for _, rows_r, _ in comps:
-        basis_rows.extend(mat_mul(field, rows_r, rad_units))
+        basis_rows.extend(_embed(field, rows_r, wd.radical_indices, A.n))
     iso = mat_inverse(field, mat_transpose(basis_rows))
     if iso is None:
         raise InternalConsistency("assembled canonical basis is singular")
@@ -584,8 +562,8 @@ def classify(A):
         raise InternalConsistency(
             f"classification self-check failed at {rep.witness.indices}")
 
-    # the first chain layer is exactly the zero rows; s = 0 means A is its
-    # own radical, which wedderburn has already checked to be nil
+    # the first chain layer is exactly the zero rows; with s = 0 wedderburn
+    # has already checked A to be nil
     chain = annihilator_chain(A)
     record = {
         "type_sequence": chain.type_sequence,
@@ -593,12 +571,7 @@ def classify(A):
         "associative": is_associative(A).verdict,
         "dim_u_square": u_layer_square_dim(A) if wd.s == 0 else None,
     }
-    if wd.s == 0:
-        radical_label = label
-    elif R.n:
-        radical_label = make_label(R.n, radical_index, params)
-    else:
-        radical_label = None
+    radical_label = make_label(R.n, radical_index, params) if R.n else None
     return ClassificationResult(label, iso, record, wd.s, radical_label, flags)
 
 

@@ -32,7 +32,13 @@ from .checks import (
 from .classify import classify, verify_isomorphism
 from .core import new_evolution_algebra
 from .decomp import decomposability_hint, graph_components, wedderburn
-from .errors import EvolalgError, ParseError, ShapeError
+from .errors import (
+    DimensionTooLarge,
+    EvolalgError,
+    NotPowerAssociative,
+    ParseError,
+    ShapeError,
+)
 from .fields import field_from_string
 
 
@@ -204,18 +210,19 @@ def cmd_decompose(path):
     for k, (indices, _) in enumerate(comps, start=1):
         out.append(f"component {k} indices " + ",".join(str(i + 1) for i in indices))
     out.append(f"ann_bound_hint {decomposability_hint(A)}")
-    rep = is_power_associative(A)
-    out.append(f"check pa verdict {str(rep.verdict).lower()}")
-    if rep.verdict:
-        wd = wedderburn(A, _assume_pa=True)
-        out.append(f"wedderburn s {wd.s}")
-        for k, u in enumerate(wd.idempotents, start=1):
-            out.append(f"wedderburn idempotent {k} " + _fmt_vec(field, u))
-        out.append("wedderburn radical_indices "
-                   + (",".join(str(i + 1) for i in wd.radical_indices)
-                      if wd.radical_indices else "-"))
-    elif rep.witness is not None:
-        _emit_witness(out, "check pa", field, rep.witness)
+    try:
+        wd = wedderburn(A)
+    except NotPowerAssociative as exc:
+        out.append("check pa verdict false")
+        _emit_witness(out, "check pa", field, exc.witness)
+        return "\n".join(out) + "\n"
+    out.append("check pa verdict true")
+    out.append(f"wedderburn s {wd.s}")
+    for k, u in enumerate(wd.idempotents, start=1):
+        out.append(f"wedderburn idempotent {k} " + _fmt_vec(field, u))
+    out.append("wedderburn radical_indices "
+               + (",".join(str(i + 1) for i in wd.radical_indices)
+                  if wd.radical_indices else "-"))
     return "\n".join(out) + "\n"
 
 
@@ -249,7 +256,15 @@ def table_lines(field, dim, grid):
     return "\n".join(lines) + "\n"
 
 
+def _require_catalog_dim(dim):
+    if dim < 1:
+        raise ShapeError("dimension must be at least 1")
+    if dim > 6:
+        raise DimensionTooLarge("the catalog stops at dimension 6")
+
+
 def cmd_tables(field, max_dim, grid, out_dir):
+    _require_catalog_dim(max_dim)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for dim in range(1, max_dim + 1):
@@ -275,6 +290,7 @@ def random_algebra(field, dim, seed, mode):
             rows = [[field.parse(rng.choice(_Q_RAW_POOL)) for _ in range(dim)]
                     for _ in range(dim)]
         return new_evolution_algebra(field, rows)
+    _require_catalog_dim(dim)
     fams = [f for f in catalog.families_of_dim(dim)
             if mode == "pa_mixed" or f.kind == "nil"]
     while True:
@@ -331,10 +347,6 @@ def cmd_verify(path_a, path_b, matrix_path):
 # argument plumbing
 
 
-def _field_arg(text):
-    return field_from_string(text)
-
-
 def _grid_arg(text):
     return [t for t in text.split(",") if t]
 
@@ -360,13 +372,13 @@ def build_parser():
     p.add_argument("path")
 
     p = sub.add_parser("tables", help="emit catalog tables per dimension")
-    p.add_argument("--field", type=_field_arg, default=field_from_string("Q"))
+    p.add_argument("--field", default="Q")
     p.add_argument("--max-dim", type=int, default=4)
     p.add_argument("--grid", type=_grid_arg, default=["1", "2", "3", "-1"])
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("random", help="seeded random algebra file")
-    p.add_argument("--field", type=_field_arg, required=True)
+    p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["pa_mixed", "nil_pa", "raw"], default="pa_mixed")
@@ -393,10 +405,12 @@ def main(argv=None):
         elif args.command == "decompose":
             sys.stdout.write(cmd_decompose(args.path))
         elif args.command == "tables":
-            for path in cmd_tables(args.field, args.max_dim, args.grid, args.out):
+            field = field_from_string(args.field)
+            for path in cmd_tables(field, args.max_dim, args.grid, args.out):
                 sys.stdout.write(f"wrote {path}\n")
         elif args.command == "random":
-            text = cmd_random(args.field, args.dim, args.seed, args.mode, args.out)
+            field = field_from_string(args.field)
+            text = cmd_random(field, args.dim, args.seed, args.mode, args.out)
             if args.out:
                 sys.stdout.write(f"wrote {args.out}\n")
             else:

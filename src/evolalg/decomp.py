@@ -2,9 +2,11 @@
 
 For a power-associative evolution algebra the Wedderburn split has a
 closed form: fourth-power associativity forces every column indexed by a
-nonzero diagonal entry to vanish off the diagonal, so u_i = e_i^2 are
-pairwise orthogonal idempotents and the complementary index set carries
-the nil radical as a plain submatrix.
+nonzero diagonal entry a_ii to vanish off the diagonal, and a_im r_m = 0
+for every zero-diagonal index m.  So u_i = a_ii^-2 e_i^2 are pairwise
+orthogonal idempotents that annihilate the e_m, and the zero-diagonal
+index set carries the nil radical as the plain submatrix, whatever the
+nonzero diagonal entries are.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,6 @@ from .core import (
     EvolutionAlgebra,
     Subspace,
     _eliminate,
-    change_basis,
     is_zero_vector,
     multiply,
     subspace_from_vectors,
@@ -32,8 +33,8 @@ def _require_pa(A):
     rep = is_power_associative(A)
     if not rep.verdict:
         raise NotPowerAssociative(
-            f"not power-associative (condition {rep.witness.condition} at "
-            f"{rep.witness.indices})", witness=rep.witness)
+            f"input is not power-associative (condition {rep.witness.condition} "
+            f"at {rep.witness.indices})", witness=rep.witness)
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,16 @@ class WedderburnDecomposition:
     basis_change: tuple         # rows: the new natural basis in old coordinates
 
 
-def wedderburn(A, _assume_pa=False):
+def wedderburn(A):
     """E = K u_1 + ... + K u_s + Rad(E) as a direct sum of algebras.
 
     The extension idempotents are u_i = a_ii^-2 e_i^2 at the indices with
-    nonzero diagonal; the complementary indices carry the nil radical.
-    When every nonzero diagonal entry is 1 (all catalog members and their
-    monomial images) the radical is the plain complementary submatrix.
+    nonzero diagonal; the complementary indices m carry the nil radical as
+    the plain submatrix of A.  The guard checks the two facts this rests
+    on: column i is zero off the diagonal, and a_im r_m = 0.  Raises
+    NotPowerAssociative, with the check's witness, on non-PA input.
     """
-    if not _assume_pa:
-        _require_pa(A)
+    _require_pa(A)
     field = A.field
     n = A.n
     idem_idx = [i for i in range(n) if not field.is_zero(A.rows[i][i])]
@@ -133,21 +134,13 @@ def wedderburn(A, _assume_pa=False):
         for b in range(a + 1, len(idems)):
             if not is_zero_vector(field, multiply(A, idems[a], idems[b])):
                 raise InternalConsistency("extension idempotents not orthogonal")
-    plain = all(A.rows[i][i] == field.one for i in idem_idx) and all(
-        field.is_zero(A.rows[m][i])
-        for i in idem_idx for m in range(n) if m != i)
-    if plain:
-        rad_rows = tuple(tuple(A.rows[m][k] for k in rad_idx) for m in rad_idx)
-    else:
-        # rare rescaled-idempotent inputs: rebuild in the split basis
-        B = change_basis(A, list(idems) + [A.unit(m) for m in rad_idx])
-        s = len(idems)
-        for r in range(n):
-            for c in range(n):
-                if (r < s) != (c < s) and not field.is_zero(B.rows[r][c]):
-                    raise InternalConsistency("Wedderburn split is not a direct sum")
-        rad_rows = tuple(tuple(B.rows[s + r][s + c] for c in range(n - s))
-                         for r in range(n - s))
+    for i in idem_idx:
+        column_clear = all(m == i or field.is_zero(A.rows[m][i]) for m in range(n))
+        kills_radical = all(field.is_zero(A.rows[i][m]) or is_zero_vector(field, A.rows[m])
+                            for m in rad_idx)
+        if not (column_clear and kills_radical):
+            raise InternalConsistency("Wedderburn split is not a direct sum")
+    rad_rows = tuple(tuple(A.rows[m][k] for k in rad_idx) for m in rad_idx)
     radical = EvolutionAlgebra(field, rad_rows)
     if rad_rows and not is_nil(radical).verdict:
         raise InternalConsistency("Wedderburn radical is not nil")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from evolalg import (
 from evolalg.classify import change_basis
 from evolalg.core import mat_inverse, mat_mul
 
-from conftest import first_catalog_instance, monomial_disguise
+from conftest import first_catalog_instance, monomial_disguise, naive_multiply
 
 
 def identity(field, n):
@@ -320,3 +321,71 @@ def test_n45_isomorphic_members_share_params(F7):
     assert classify(canonical_algebra(make_label(4, 5, (1, 3)), F7)).label == \
         classify(canonical_algebra(make_label(4, 5, (1, 1)), F7)).label
     assert params_equivalent(4, 5, (1, 3), (1, 1), F7).status == "equivalent"
+
+
+def _plain_invertible(field, M):
+    """Full rank by elimination in plain ints mod p or plain Fractions."""
+    p = field.p if field.kind == "prime" else None
+    rows = [list(r) for r in M]
+    n = len(rows)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if (rows[r][c] % p if p else rows[r][c])),
+                   None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p) if p else 1 / Fraction(rows[c][c])
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+            if p:
+                rows[r] = [a % p for a in rows[r]]
+    return True
+
+
+def _plain_is_isomorphism(field, a_mul, c_mul, M):
+    """x -> Mx is an isomorphism: M has full rank, and M(e_i e_j) equals
+    (M e_i)(M e_j) for every basis pair, with a_mul and c_mul the products
+    of the source and the target."""
+    n = len(M)
+    p = field.p if field.kind == "prime" else None
+    if not _plain_invertible(field, M):
+        return False
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    cols = [tuple(M[r][i] for r in range(n)) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            prod = a_mul(units[i], units[j])
+            support = [k for k in range(n) if prod[k]]
+            left = [sum(M[r][k] * prod[k] for k in support) for r in range(n)]
+            if p:
+                left = [v % p for v in left]
+            if tuple(left) != c_mul(cols[i], cols[j]):
+                return False
+    return True
+
+
+def test_verify_isomorphism_agrees_with_plain_check_on_mutated_iso(Q, F7):
+    # the hard postcondition's checker against an independent one: every
+    # single-entry mutation (+1) of a classified iso gets the same verdict.
+    # A shear into an annihilator direction can stay an isomorphism, so the
+    # verdicts are compared rather than expected to be negative
+    rng = random.Random(8)
+    for field in (F7, Q):
+        for dim in range(2, 7):
+            for fam in ev.families_of_dim(dim):
+                A = monomial_disguise(field, first_catalog_instance(field, fam)[0], rng)
+                res = classify(A)
+                C = canonical_algebra(res.label, field)
+                # products memoized per algebra: a mutation changes one column
+                a_mul = functools.cache(functools.partial(naive_multiply, A))
+                c_mul = functools.cache(functools.partial(naive_multiply, C))
+                assert _plain_is_isomorphism(field, a_mul, c_mul, res.iso), fam.name()
+                for r in range(dim):
+                    for c in range(dim):
+                        M = [list(row) for row in res.iso]
+                        M[r][c] = field.add(M[r][c], field.one)
+                        M = tuple(tuple(row) for row in M)
+                        assert verify_isomorphism(A, C, M).verdict == \
+                            _plain_is_isomorphism(field, a_mul, c_mul, M), \
+                            (fam.name(), r, c)

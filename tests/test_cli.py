@@ -230,3 +230,30 @@ def test_cli_transcripts_match_golden(tmp_path, monkeypatch):
     assert len(got) == len(want)
     diff = [(w, g) for w, g in zip(want, got) if w != g]
     assert not diff, diff[:5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--field", "bogus", "--dim", "3", "--seed", "1"],
+    ["random", "--field", "Fp:4", "--dim", "3", "--seed", "1"],
+    ["random", "--field", "Fp:5", "--dim", "3", "--seed", "1"],
+    ["tables", "--field", "bogus", "--out", "t"],
+    ["tables", "--field", "Fp:4", "--out", "t"],
+    ["tables", "--field", "Fp:5", "--out", "t"],
+    ["random", "--field", "Q", "--dim", "0", "--seed", "1"],
+    ["random", "--field", "Q", "--dim", "0", "--seed", "1", "--mode", "nil_pa"],
+    ["random", "--field", "Fp:7", "--dim", "7", "--seed", "1"],
+    ["random", "--field", "Fp:7", "--dim", "7", "--seed", "1", "--mode", "nil_pa"],
+    ["tables", "--max-dim", "7", "--out", "t"],
+    ["tables", "--max-dim", "0", "--out", "t"],
+], ids=" ".join)
+def test_main_bad_arguments_are_typed_errors(tmp_path, monkeypatch, argv):
+    # one ``error <Type>: ...`` line and exit 1, never a traceback, and no
+    # table file for a dimension outside the catalog
+    monkeypatch.chdir(tmp_path)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error "), lines
+    assert not list(tmp_path.glob("t/*"))

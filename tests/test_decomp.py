@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from evolalg import (
     wedderburn,
 )
 
-from conftest import monomial_disguise, recursive_wedderburn_s
+from conftest import first_catalog_instance, monomial_disguise, recursive_wedderburn_s
 
 
 def test_peirce_two_dim(Q):
@@ -209,3 +210,53 @@ def test_decomposability_hint(Q):
     assert decomposability_hint(new_evolution_algebra(Q, [[0]])) == \
         "DecomposableByAnnBound"
     assert decomposability_hint(new_evolution_algebra(Q, [[1]])) == "Unknown"
+
+
+def rescale_idempotent_axes(field, A, rng):
+    """Permutation-and-scaling image with every idempotent axis scaled by
+    some lam not in {0, 1}, so each idempotent diagonal entry becomes lam."""
+    n = A.n
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    if field.kind == "prime":
+        idem_pool = list(range(2, field.p))
+        nil_pool = list(range(1, field.p))
+    else:
+        idem_pool = [Fraction(v) for v in (-1, 2, -2, 3, "1/2", "-1/3", "2/3")]
+        nil_pool = [Fraction(v) for v in (1, -1, 2, "1/2", "-3/2")]
+    lam = [rng.choice(idem_pool if not field.is_zero(A.rows[sigma[i]][sigma[i]])
+                      else nil_pool) for i in range(n)]
+    if field.kind == "prime":
+        p = field.p
+        rows = [[lam[i] * lam[i] * A.rows[sigma[i]][sigma[j]] * pow(lam[j], -1, p) % p
+                 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[lam[i] * lam[i] * A.rows[sigma[i]][sigma[j]] / lam[j]
+                 for j in range(n)] for i in range(n)]
+    return new_evolution_algebra(field, rows)
+
+
+def test_rescaled_idempotent_axes(Q, F7):
+    # a_ii outside {0, 1} on every idempotent axis: the radical is still the
+    # plain submatrix at the zero-diagonal indices, and classify still lands
+    # on the unscaled member's label with a verified isomorphism
+    rng = random.Random(41)
+    for field in (Q, F7):
+        for dim in range(2, 6):
+            for fam in ev.families_of_dim(dim):
+                if fam.s == 0:
+                    continue
+                A, _ = first_catalog_instance(field, fam)
+                B = rescale_idempotent_axes(field, A, rng)
+                rad = [m for m in range(B.n) if B.rows[m][m] == 0]
+                assert sum(1 for i in range(B.n) if B.rows[i][i] not in (0, 1)) \
+                    == fam.s, fam.name()
+                wd = wedderburn(B)
+                assert wd.s == fam.s and wd.radical_indices == tuple(rad)
+                assert wd.radical.rows == tuple(
+                    tuple(B.rows[m][k] for k in rad) for m in rad), fam.name()
+                want = ev.classify(A).label
+                res = ev.classify(B)
+                assert res.label == want, fam.name()
+                C = ev.canonical_algebra(res.label, field)
+                assert ev.verify_isomorphism(B, C, res.iso).verdict, fam.name()
