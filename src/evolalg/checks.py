@@ -1,19 +1,23 @@
 """Identity classes of an evolution algebra, with self-validating witnesses.
 
-All checks reduce to basis-vector conditions on the rows r_i = e_i^2.
-Every term is a scalar times a row: e_i^2 e_j = a_ij r_j, (e_i^2 e_j) e_k =
-a_ij a_jk r_k, e_i^3 = a_ii r_i, and the one bilinear product e_i^2 e_j^2 =
-sum of a_il a_jl r_l over l in both supp(r_i) and supp(r_j).  A term
-vanishes exactly when its scalar or its row does, so the fourth-power and
-nil fourth-power checks compute the row supports once and build a vector
-only for a condition whose terms are not all zero.  They still scan the
-conditions in their classical order, so the first violation is the one a
-dense scan reports.  The Jordan check builds every term as a full vector.
-Witnesses carry the violated condition, its indices and both evaluated
-sides, so a report can be re-checked against the algebra.
+Every basis-level condition equates two sums of three kinds of term on the
+rows r_i = e_i^2: "r ij" is e_i^2 e_j = a_ij r_j, "p ijk" is (e_i^2 e_j) e_k
+= a_ij a_jk r_k, and "s ij" is e_i^2 e_j^2, computed by ``multiply``.  A
+term is live, and may be nonzero, only when its scalars and row are.  Each
+identity is one table of conditions (name, index constraint, equalities),
+and one evaluator serves all tables: it lists, from the row supports, the
+index tuples where some term of a condition is live, visits them in
+lexicographic order and reports the first failing equality, so witnesses
+are those of a dense scan.  The tables show the term-by-term relation of
+the two identities: pa4_1 is jordan_1, pa4_3 adds the terms of jordan_2 and
+jordan_3, pa4_4 adds two jordan_5 terms, and pa4_2 is the sum of jordan_4's
+two equalities.  Witnesses carry the violated condition, its indices and
+both evaluated sides, so a report can be re-checked against the algebra.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -49,36 +53,142 @@ _OK = CheckReport(True)
 
 
 def _row_supports(A):
-    """supp(r_i) for every row, as ascending index lists."""
-    is_zero = A.field.is_zero
-    return [[k for k, v in enumerate(row) if not is_zero(v)] for row in A.rows]
+    """supp(r_i) for every row, as ascending index lists (scalars are
+    canonical, so exactly the zero scalar is falsy)."""
+    return [[k for k, v in enumerate(row) if v] for row in A.rows]
 
 
-def _meets(supp, i, j):
-    """True when e_i^2 e_j^2 has a nonzero term a_il a_jl r_l.
-
-    Its l = j and l = i terms are a_ij a_jj r_j and a_ji a_ii r_i, so when
-    it has none, no condition on the pair (i, j) can fail; for i == j the
-    l = i term is e_i^4 = a_ii^2 r_i.
-    """
-    sj = supp[j]
-    return any(supp[l] for l in supp[i] if l in sj)
+# ---------------------------------------------------------------------------
+# condition tables and their evaluator
 
 
-def _square_product(A, supp, i, j):
-    """e_i^2 e_j^2 = sum of a_il a_jl r_l over l in both supp(r_i) and supp(r_j)."""
+def _terms(side):
+    """"p iij + p iji" as ((kind, index positions), ...); "" is zero."""
+    return tuple([(t[0], tuple(["ijk".index(c) for c in t[2:]]))
+                  for t in side.split(" + ") if t])
+
+
+def _compile(*table):
+    """Parse the terms and group them by kind and pattern, the numbering
+    of their indices by first occurrence: "p ikj" has pattern (0, 1, 2) and
+    distinct indices (i, k, j), which a reorder maps to the condition's
+    (i, j, k).  Every term uses all the indices of its condition."""
+    out = []
+    for name, allowed, equalities in table:
+        eqs = tuple([(_terms(lhs), _terms(rhs)) for lhs, rhs in equalities])
+        terms = {t for eq in eqs for side in eq for t in side}
+        sources = {}
+        for kind, pos in sorted(terms):
+            # a_ij a_jj r_j is a term of e_i^2 e_j^2, so "p ijj" is live only
+            # where "s ij" is and adds no candidates of its own
+            if kind == "p" and pos[1] == pos[2] and \
+                    {("s", pos[:2]), ("s", pos[1::-1])} & terms:
+                continue
+            distinct = sorted(set(pos), key=pos.index)
+            pattern = tuple([distinct.index(v) for v in pos])
+            reorder = None if distinct == sorted(distinct) else \
+                itemgetter(*[distinct.index(v) for v in range(len(distinct))])
+            sources.setdefault((kind, pattern), []).append(reorder)
+        in_order = list(sources.values()) == [[None]]
+        out.append((name, allowed, eqs, tuple(sources.items()), in_order))
+    return tuple(out)
+
+
+def _live(kind, pattern, rows, supp, pairs):
+    """Ascending tuples of distinct indices at which a term of this kind and
+    pattern is live.  r terms are read lazily off the rows; the others use
+    the row supports and pairs, the live (i, j)."""
+    if kind == "r":
+        cols = range(len(rows))
+        return ((i, j) for i, r in enumerate(rows) for j in compress(cols, r) if any(rows[j]))
+    if kind == "s":
+        if pattern == (0, 0):
+            return [(i,) for i in dict.fromkeys([i for i, _ in pairs])]
+        cols = [[] for _ in supp]
+        for i, l in pairs:
+            cols[l].append(i)
+        return sorted({(i, j) for c in cols for i in c for j in c})
+    if pattern == (0, 0, 1):
+        return [(i, k) for i, k in pairs if i in supp[i]]
+    if pattern == (0, 1, 0):
+        return [(i, j) for i, j in pairs if i in supp[j]]
+    return [(i, j, k) for i, j in pairs for k in supp[j] if supp[k]]
+
+
+_ASSOCIATIVE = _compile(("assoc", lambda i, j: i != j, [("r ij", "")]))
+
+_FOURTH_POWER = _compile(
+    ("pa4_1", lambda *idx: True, [("p iii", "s ii")]),
+    ("pa4_2", lambda i, j: i < j, [("s ij + s ij", "p ijj + p jii")]),
+    ("pa4_3", lambda i, j: i != j, [("p iij + p iji", "")]),
+    ("pa4_4", lambda i, j, k: j < k and i != j and i != k, [("p ijk + p ikj", "")]),
+)
+
+_JORDAN = _compile(
+    ("jordan_1", lambda *idx: True, [("s ii", "p iii")]),
+    ("jordan_2", lambda i, j: i != j, [("p iij", "")]),
+    ("jordan_3", lambda i, j: i != j, [("p iji", "")]),
+    ("jordan_4", lambda i, j: i < j, [("s ij", "p ijj"), ("s ij", "p jii")]),
+    ("jordan_5", lambda i, j, k: i != j and i != k and j != k, [("p ijk", "")]),
+)
+
+_NIL_FOURTH_POWER = _compile(
+    ("nil_pa4_1", lambda i, j: i <= j, [("s ij", "")]),
+    ("nil_pa4_2", lambda *idx: True, [("p ijk", "")]),
+)
+
+
+def _evaluate(A, table):
+    """The first failing equality of the table as a CheckReport."""
     field = A.field
-    mul, add = field.mul, field.add
     rows = A.rows
-    ri, rj, sj = rows[i], rows[j], supp[j]
-    z = [field.zero] * A.n
-    for l in supp[i]:
-        if l in sj:
-            c = mul(ri[l], rj[l])
-            rl = rows[l]
-            for k in supp[l]:
-                z[k] = add(z[k], mul(c, rl[k]))
-    return tuple(z)
+    mul = field.mul
+    zero = (field.zero,) * len(rows)
+    supp = pairs = None
+
+    def value(term, idx):
+        kind, pos = term
+        if kind == "s":
+            return multiply(A, rows[idx[pos[0]]], rows[idx[pos[1]]])
+        i, j = idx[pos[0]], idx[pos[1]]
+        c = rows[i][j]
+        if kind == "p":
+            i, j = j, idx[pos[2]]
+            c = mul(c, rows[i][j])
+        return tuple([mul(c, a) if a else a for a in rows[j]])
+
+    def total(side, idx, vals):
+        out = zero
+        for t in side:
+            if t not in vals:
+                vals[t] = value(t, idx)
+            out = vals[t] if out is zero else vec_add(field, out, vals[t])
+        return out
+
+    for name, allowed, equalities, sources, in_order in table:
+        if pairs is None and sources[0][0][0] != "r":
+            supp = _row_supports(A)
+            pairs = [(i, j) for i, s in enumerate(supp) for j in s if supp[j]]
+        if in_order:
+            (kind, pattern), _ = sources[0]
+            cands = _live(kind, pattern, rows, supp, pairs)
+        else:
+            cands = set()
+            for (kind, pattern), reorders in sources:
+                got = _live(kind, pattern, rows, supp, pairs)
+                for reorder in reorders:
+                    cands.update(map(reorder, got) if reorder else got)
+            cands = sorted(cands)
+        for idx in cands:
+            if not allowed(*idx):
+                continue
+            vals = {}
+            for lhs, rhs in equalities:
+                left, right = total(lhs, idx, vals), total(rhs, idx, vals)
+                if left != right:
+                    return CheckReport(False, Witness(
+                        name, tuple([i + 1 for i in idx]), left, right))
+    return _OK
 
 
 # ---------------------------------------------------------------------------
@@ -194,80 +304,12 @@ def nil_profile(A):
 
 def is_associative(A):
     """Associative iff e_i^2 e_j = 0 for all i != j."""
-    field = A.field
-    rows = A.rows
-    is_zero = field.is_zero
-    zero = A.zero_element()
-    for i in range(A.n):
-        ri = rows[i]
-        for j in range(A.n):
-            if j == i or is_zero(ri[j]):
-                continue
-            if not is_zero_vector(field, rows[j]):
-                return CheckReport(False, Witness(
-                    "assoc", (i + 1, j + 1),
-                    left=vec_scale(field, ri[j], rows[j]), right=zero))
-    return _OK
+    return _evaluate(A, _ASSOCIATIVE)
 
 
 def is_fourth_power_associative(A):
     """The four basis-level conditions equivalent to x^2 x^2 = x^4."""
-    field = A.field
-    rows = A.rows
-    n = A.n
-    mul = field.mul
-    zero = A.zero_element()
-    supp = _row_supports(A)
-
-    # 1) e_i^4 = e_i^2 e_i^2
-    for i in range(n):
-        if not _meets(supp, i, i):
-            continue
-        ri = rows[i]
-        left = _square_product(A, supp, i, i)
-        right = vec_scale(field, mul(ri[i], ri[i]), ri)
-        if left != right:
-            return CheckReport(False, Witness("pa4_1", (i + 1,), right, left))
-    # 2) 2 e_i^2 e_j^2 = (e_i^2 e_j) e_j + (e_j^2 e_i) e_i
-    two = field.add(field.one, field.one)
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            if not _meets(supp, i, j):
-                continue
-            rj = rows[j]
-            left = vec_scale(field, two, _square_product(A, supp, i, j))
-            right = vec_add(field,
-                            vec_scale(field, mul(ri[j], rj[j]), rj),
-                            vec_scale(field, mul(rj[i], ri[i]), ri))
-            if left != right:
-                return CheckReport(False, Witness("pa4_2", (i + 1, j + 1), left, right))
-    # 3) e_i^3 e_j + (e_i^2 e_j) e_i = a_ii a_ij r_j + a_ij a_ji r_i = 0
-    for i in range(n):
-        ri, si = rows[i], supp[i]
-        for j in si:
-            if j == i or not ((i in si and supp[j]) or i in supp[j]):
-                continue
-            rj = rows[j]
-            val = vec_add(field,
-                          vec_scale(field, mul(ri[i], ri[j]), rj),
-                          vec_scale(field, mul(ri[j], rj[i]), ri))
-            if not is_zero_vector(field, val):
-                return CheckReport(False, Witness("pa4_3", (i + 1, j + 1), val, zero))
-    # 4) (e_i^2 e_j) e_k + (e_i^2 e_k) e_j = 0 for j < k, both != i: a pair
-    # is live when a_ij a_jk r_k or a_ik a_kj r_j is nonzero
-    for i in range(n):
-        ri, si = rows[i], supp[i]
-        live = sorted({(min(j, k), max(j, k)) for j in si if j != i
-                       for k in supp[j] if k != i and k != j and supp[k]})
-        for j, k in live:
-            val = vec_add(field,
-                          vec_scale(field, mul(ri[j], rows[j][k]), rows[k]),
-                          vec_scale(field, mul(ri[k], rows[k][j]), rows[j]))
-            if not is_zero_vector(field, val):
-                return CheckReport(False, Witness(
-                    "pa4_4", (i + 1, j + 1, k + 1), val, zero))
-    return _OK
+    return _evaluate(A, _FOURTH_POWER)
 
 
 def is_power_associative(A):
@@ -296,59 +338,7 @@ def is_power_associative(A):
 
 def is_jordan(A):
     """The five basis-level conditions equivalent to (x^2, y, x) = 0."""
-    field = A.field
-    rows = A.rows
-    n = A.n
-    mul, is_zero = field.mul, field.is_zero
-    zero = A.zero_element()
-
-    for i in range(n):
-        ri = rows[i]
-        left = multiply(A, ri, ri)
-        right = vec_scale(field, mul(ri[i], ri[i]), ri)
-        if left != right:
-            return CheckReport(False, Witness("jordan_1", (i + 1,), left, right))
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if j == i:
-                continue
-            val = vec_scale(field, mul(ri[i], ri[j]), rows[j])
-            if not is_zero_vector(field, val):
-                return CheckReport(False, Witness("jordan_2", (i + 1, j + 1), val, zero))
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if j == i:
-                continue
-            val = vec_scale(field, mul(ri[j], rows[j][i]), ri)
-            if not is_zero_vector(field, val):
-                return CheckReport(False, Witness("jordan_3", (i + 1, j + 1), val, zero))
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            rj = rows[j]
-            prod = multiply(A, ri, rj)
-            right1 = vec_scale(field, mul(ri[j], rj[j]), rj)
-            right2 = vec_scale(field, mul(rj[i], ri[i]), ri)
-            if prod != right1 or prod != right2:
-                return CheckReport(False, Witness(
-                    "jordan_4", (i + 1, j + 1), prod,
-                    right1 if prod != right1 else right2))
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if j == i or is_zero(ri[j]):
-                continue
-            rj = rows[j]
-            for k in range(n):
-                if k == i or k == j or is_zero(rj[k]):
-                    continue
-                val = vec_scale(field, mul(ri[j], rj[k]), rows[k])
-                if not is_zero_vector(field, val):
-                    return CheckReport(False, Witness(
-                        "jordan_5", (i + 1, j + 1, k + 1), val, zero))
-    return _OK
+    return _evaluate(A, _JORDAN)
 
 
 def nil_fourth_pa_criterion(A):
@@ -359,30 +349,7 @@ def nil_fourth_pa_criterion(A):
     """
     if not is_nil(A).verdict:
         raise NotNil("the nil fourth-power criterion needs a nil algebra")
-    field = A.field
-    rows = A.rows
-    n = A.n
-    zero = A.zero_element()
-    supp = _row_supports(A)
-    for i in range(n):
-        for j in range(i, n):
-            if not _meets(supp, i, j):
-                continue
-            val = _square_product(A, supp, i, j)
-            if not is_zero_vector(field, val):
-                return CheckReport(False, Witness("nil_pa4_1", (i + 1, j + 1), val, zero))
-    # a single term a_ij a_jk r_k: nonzero iff each factor is
-    mul = field.mul
-    for i in range(n):
-        ri = rows[i]
-        for j in supp[i]:
-            rj = rows[j]
-            for k in supp[j]:
-                if supp[k]:
-                    val = vec_scale(field, mul(ri[j], rj[k]), rows[k])
-                    return CheckReport(False, Witness(
-                        "nil_pa4_2", (i + 1, j + 1, k + 1), val, zero))
-    return _OK
+    return _evaluate(A, _NIL_FOURTH_POWER)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,17 @@ def parse_algebra_file(text):
     return new_evolution_algebra(field, rows)
 
 
+def _read(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+                         offset=exc.start)
+
+
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_file(fh.read())
+    return parse_algebra_file(_read(path))
 
 
 def parse_matrix_file(field, text, n):
@@ -334,8 +342,7 @@ def cmd_random(field, dim, seed, mode, out=None):
 def cmd_verify(path_a, path_b, matrix_path):
     A = _load(path_a)
     B = _load(path_b)
-    with open(matrix_path, "r", encoding="utf-8") as fh:
-        M = parse_matrix_file(A.field, fh.read(), A.n)
+    M = parse_matrix_file(A.field, _read(matrix_path), A.n)
     rep = verify_isomorphism(A, B, M)
     out = [f"verify verdict {str(rep.verdict).lower()}"]
     if rep.witness is not None:

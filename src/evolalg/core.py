@@ -76,15 +76,14 @@ def multiply(A, x, y):
     _check_element(A, x)
     _check_element(A, y)
     field = A.field
-    mul, add, is_zero = field.mul, field.add, field.is_zero
+    mul, add = field.mul, field.add
     z = [field.zero] * A.n
     for i, (xi, yi) in enumerate(zip(x, y)):
-        if is_zero(xi) or is_zero(yi):
-            continue
-        c = mul(xi, yi)
-        for k, a in enumerate(A.rows[i]):
-            if not is_zero(a):
-                z[k] = add(z[k], mul(c, a))
+        if xi and yi:  # canonical scalars: exactly zero is falsy
+            c = mul(xi, yi)
+            for k, a in enumerate(A.rows[i]):
+                if a:
+                    z[k] = add(z[k], mul(c, a))
     return tuple(z)
 
 

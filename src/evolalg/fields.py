@@ -21,6 +21,14 @@ _INT_RE = re.compile(r"-?\d+")
 _RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
+def _int(text, digits):
+    """int(digits), with the interpreter's cap on digit strings as a ParseError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"scalar {text[:20]!r}... of {len(text)} characters: {exc}")
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -119,10 +127,10 @@ class RationalField(Field):
             bad = _RAT_RE.match(text)
             raise ParseError(f"not a rational scalar: {text!r}",
                              offset=bad.end() if bad else 0)
-        num = int(m.group(1))
-        if m.group(2) is None:
+        num, den = _int(text, m.group(1)), m.group(2)
+        if den is None:
             return Fraction(num)
-        den = int(m.group(2))
+        den = _int(text, den)
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}",
                              offset=m.start(2))
@@ -204,7 +212,7 @@ class PrimeField(Field):
             bad = _INT_RE.match(text)
             raise ParseError(f"not an F_{self.p} scalar: {text!r}",
                              offset=bad.end() if bad else 0)
-        return int(text) % self.p
+        return _int(text, text) % self.p
 
     def serialize(self, a):
         return str(a % self.p)

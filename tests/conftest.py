@@ -83,6 +83,20 @@ def fp_pa4_violation(A, exhaustive_limit=3, rng=None, tries=3000):
     return None
 
 
+def assoc_violation(A):
+    """Oracle for the associativity witness: the first i != j in row-major
+    order with a_ij != 0 and r_j != 0, as (i, j, a_ij r_j), or None."""
+    field = A.field
+    for i in range(A.n):
+        for j in range(A.n):
+            a = A.rows[i][j]
+            if i == j or a == field.zero:
+                continue
+            if any(v != field.zero for v in A.rows[j]):
+                return i, j, tuple(field.mul(a, v) for v in A.rows[j])
+    return None
+
+
 def fp_all_cubes_zero(A):
     """Oracle: x^3 = 0 for every element of a prime-field algebra."""
     for x in elements_of(A.field, A.n):

@@ -19,6 +19,7 @@ from evolalg import (
 )
 
 from conftest import (
+    assoc_violation,
     elements_of,
     first_catalog_instance,
     fp_pa4_violation,
@@ -348,6 +349,19 @@ def _witness_inputs():
                 rows[i][k] = rng.choice([field.zero] + pool)
                 yield (f"{name} {fam.name()} e{i + 1}{k + 1}:{rows[i][k]}",
                        new_evolution_algebra(field, rows))
+
+
+def test_associative_witness_matches_oracle():
+    # checks_witness.txt has no assoc lines, so the oracle guards this witness
+    for name, A in _witness_inputs():
+        rep = is_associative(A)
+        bad = assoc_violation(A)
+        if bad is None:
+            assert rep == ev.checks.CheckReport(True), name
+            continue
+        i, j, left = bad
+        want = ev.checks.Witness("assoc", (i + 1, j + 1), left, A.zero_element())
+        assert rep == ev.checks.CheckReport(False, want), name
 
 
 def _witness_rows(field, dim, zeros, shape, pool, rng):

@@ -245,15 +245,59 @@ def test_cli_transcripts_match_golden(tmp_path, monkeypatch):
     ["random", "--field", "Fp:7", "--dim", "7", "--seed", "1", "--mode", "nil_pa"],
     ["tables", "--max-dim", "7", "--out", "t"],
     ["tables", "--max-dim", "0", "--out", "t"],
+    ["classify", "undecodable.txt"],
+    ["check", "undecodable.txt"],
+    ["decompose", "undecodable.txt"],
+    ["verify", "good.txt", "good.txt", "undecodable.txt"],
+    ["check", "long_scalar.txt"],
 ], ids=" ".join)
 def test_main_bad_arguments_are_typed_errors(tmp_path, monkeypatch, argv):
     # one ``error <Type>: ...`` line and exit 1, never a traceback, and no
     # table file for a dimension outside the catalog
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.txt").write_text("field Q\ndim 2\nrow 0 1\nrow 0 0\n", encoding="utf-8")
+    (tmp_path / "undecodable.txt").write_bytes(b"field Q\ndim 2\nrow 0 \xff\nrow 0 0\n")
+    (tmp_path / "long_scalar.txt").write_text(
+        "field Fp:7\ndim 2\nrow 0 " + "1" * 5000 + "\nrow 0 0\n", encoding="utf-8")
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
     assert code == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error "), lines
+    if "undecodable.txt" in argv or "long_scalar.txt" in argv:
+        assert lines[0].startswith("error ParseError: "), lines
     assert not list(tmp_path.glob("t/*"))
+
+
+def test_parse_algebra_file_fuzz():
+    # any text either parses to an algebra whose file form parses back to
+    # the same bytes, or raises a typed EvolalgError
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    token = st.sampled_from(["0", "1", "-1", "3/4", "-2/6", "1/0", "x", "7", "13",
+                             "\u0663", "1e3", "+2", "", "9" * 30])
+    line = st.one_of(st.text(max_size=12), st.builds(
+        lambda key, toks: key + " ".join(toks),
+        st.sampled_from(["field ", "dim ", "row ", "", " row "]), st.lists(token, max_size=4)))
+    structured = st.builds(
+        lambda head, dim, rows: "\n".join([head, dim] + rows),
+        st.sampled_from(["field Q", "field Fp:7", "field Fp:13", "field Fp:5",
+                         "field Fp:9", "field fp:7", "field "]),
+        st.sampled_from(["dim 1", "dim 2", "dim 3", "dim 0", "dim -1", "dim x", "dim 2 "]),
+        st.lists(line, max_size=4))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(st.text(max_size=60), structured))
+    def check(text):
+        try:
+            A = parse_algebra_file(text)
+        except ev.EvolalgError:
+            return
+        out = serialize_algebra_file(A)
+        B = parse_algebra_file(out)
+        assert B.rows == A.rows and B.field == A.field
+        assert serialize_algebra_file(B) == out
+
+    check()

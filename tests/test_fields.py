@@ -78,6 +78,16 @@ def test_parse_errors(Q, F7):
         scalar_parse(F7, "1/2")
 
 
+def test_over_long_scalars_are_parse_errors(Q, F7):
+    # int() refuses digit strings over the interpreter's cap (4,300 digits
+    # by default) with a bare ValueError; parsing must stay typed
+    digits = "7" * 5000
+    for field, text in [(Q, digits), (Q, "-" + digits), (Q, "1/" + digits),
+                        (Q, digits + "/3"), (F7, digits), (F7, "-" + digits)]:
+        with pytest.raises(ev.ParseError):
+            scalar_parse(field, text)
+
+
 def test_serialize_parse_idempotent(Q, F7):
     rng = random.Random(7)
     for _ in range(300):
